@@ -224,6 +224,9 @@ pub struct IncrementalAmf<S> {
     /// Slot table: `None` marks a retired slot awaiting reuse.
     slots: Vec<Option<SlotJob<S>>>,
     index: BTreeMap<JobId, usize>,
+    /// Per slot, live or retired: the number of live slots before it —
+    /// the dense output row of a live slot's job.
+    rows: Vec<usize>,
     net: AllocationNetwork<S>,
     round_log: Vec<CachedRound<S>>,
     output: SolveOutput<S>,
@@ -258,6 +261,7 @@ impl<S: Scalar> IncrementalAmf<S> {
             capacities,
             slots: Vec::new(),
             index: BTreeMap::new(),
+            rows: Vec::new(),
             net,
             round_log: Vec::new(),
             output: SolveOutput {
@@ -307,6 +311,13 @@ impl<S: Scalar> IncrementalAmf<S> {
         self.slots.iter().flatten().map(|job| job.id).collect()
     }
 
+    /// Dense output row of job `id` — its position in
+    /// [`job_ids`](Self::job_ids) — or `None` if it is not live. O(log n),
+    /// without materialising the id list.
+    pub fn row_of(&self, id: JobId) -> Option<usize> {
+        self.index.get(&id).map(|&slot| self.rows[slot])
+    }
+
     /// The equivalent dense [`Instance`] (rows in [`job_ids`](Self::job_ids)
     /// order) — what a from-scratch solver would be handed right now.
     pub fn instance(&self) -> Instance<S> {
@@ -354,6 +365,9 @@ impl<S: Scalar> IncrementalAmf<S> {
                 let slot = self.net.add_job(&demands);
                 if slot == self.slots.len() {
                     self.slots.push(None);
+                    self.rows.push(self.index.len());
+                } else {
+                    self.rows[slot + 1..].iter_mut().for_each(|r| *r += 1);
                 }
                 debug_assert!(self.slots[slot].is_none(), "network reused a live slot");
                 self.slots[slot] = Some(SlotJob {
@@ -370,6 +384,7 @@ impl<S: Scalar> IncrementalAmf<S> {
                     .ok_or(DeltaError::UnknownJob { id })?;
                 self.net.remove_job(slot);
                 self.slots[slot] = None;
+                self.rows[slot + 1..].iter_mut().for_each(|r| *r -= 1);
             }
             Delta::DemandChange { id, site, demand } => {
                 let slot = *self.index.get(&id).ok_or(DeltaError::UnknownJob { id })?;
@@ -565,15 +580,8 @@ impl<S: Scalar> IncrementalAmf<S> {
             })
             .collect();
 
-        // Dense index of each live slot (solver outputs are dense).
-        let mut dense = vec![usize::MAX; n_slots];
-        let mut n_live = 0usize;
-        for (slot, job) in self.slots.iter().enumerate() {
-            if job.is_some() {
-                dense[slot] = n_live;
-                n_live += 1;
-            }
-        }
+        // Solver outputs are dense: a live slot's row is `self.rows[slot]`.
+        let n_live = self.index.len();
 
         let mut rounds: Vec<FreezeRound<S>> = Vec::new();
         let mut new_log: Vec<CachedRound<S>> = Vec::new();
@@ -603,7 +611,7 @@ impl<S: Scalar> IncrementalAmf<S> {
                     FreezeReason::DemandCapped => cap.ceil,
                     FreezeReason::Bottlenecked => cap.at(cached.level),
                 });
-                round.frozen.push((dense[slot], reason));
+                round.frozen.push((self.rows[slot], reason));
                 let id = self.slots[slot].as_ref().expect("live").id;
                 entry.frozen.push((id, reason));
             }
@@ -666,7 +674,7 @@ impl<S: Scalar> IncrementalAmf<S> {
                 };
                 for &(i, reason) in &sub_round.frozen {
                     let slot = act_slots[i];
-                    round.frozen.push((dense[slot], reason));
+                    round.frozen.push((self.rows[slot], reason));
                     let id = self.slots[slot].as_ref().expect("live").id;
                     entry.frozen.push((id, reason));
                 }
@@ -785,7 +793,7 @@ impl<S: Scalar> IncrementalAmf<S> {
                 } else {
                     continue;
                 };
-                round.frozen.push((dense[slot], reason));
+                round.frozen.push((self.rows[slot], reason));
                 let id = self.slots[slot].as_ref().expect("live").id;
                 entry.frozen.push((id, reason));
             }
@@ -797,7 +805,9 @@ impl<S: Scalar> IncrementalAmf<S> {
                     if frozen[slot].is_none() {
                         let cap = caps[slot].as_ref().expect("active slot has caps");
                         frozen[slot] = Some(cap.at(t_star));
-                        round.frozen.push((dense[slot], FreezeReason::Bottlenecked));
+                        round
+                            .frozen
+                            .push((self.rows[slot], FreezeReason::Bottlenecked));
                         let id = self.slots[slot].as_ref().expect("live").id;
                         entry.frozen.push((id, FreezeReason::Bottlenecked));
                     }
@@ -1138,6 +1148,33 @@ mod tests {
         let agg = assert_matches_scratch(&mut session);
         assert_eq!(agg.len(), 3);
         assert!(session.contains(JobId(9)) && !session.contains(JobId(1)));
+    }
+
+    #[test]
+    fn row_of_tracks_job_ids_through_adds_and_removes() {
+        let mut session = IncrementalAmf::new(AmfSolver::new(), vec![10.0]).unwrap();
+        let mut live: Vec<u64> = Vec::new();
+        // A fixed pseudo-random walk: adds fill recycled slots, removes
+        // punch holes anywhere in the slot table.
+        let mut state = 0x2545_f491_u64;
+        for next_id in 0..200u64 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            if live.len() > 3 && (state >> 33).is_multiple_of(3) {
+                let victim = live.swap_remove((state >> 40) as usize % live.len());
+                session
+                    .apply(Delta::RemoveJob { id: JobId(victim) })
+                    .unwrap();
+                assert_eq!(session.row_of(JobId(victim)), None);
+            } else {
+                session.apply(add(next_id, vec![1.0])).unwrap();
+                live.push(next_id);
+            }
+            for (row, id) in session.job_ids().into_iter().enumerate() {
+                assert_eq!(session.row_of(id), Some(row), "job {id:?}");
+            }
+        }
     }
 
     #[test]

@@ -92,10 +92,23 @@ impl<S: Scalar> LevelCap<S> {
 /// # Panics
 /// Panics if no crossing exists (caller bug).
 pub fn invert_total<S: Scalar>(caps: &[LevelCap<S>], budget: S) -> S {
+    invert_total_with(caps, budget, &mut Vec::with_capacity(2 * caps.len()))
+}
+
+/// [`invert_total`] with a caller-provided event buffer (cleared first),
+/// so repeated inversions allocate nothing once it has grown.
+///
+/// # Panics
+/// As [`invert_total`].
+pub fn invert_total_with<S: Scalar>(
+    caps: &[LevelCap<S>],
+    budget: S,
+    events: &mut Vec<(S, S)>,
+) -> S {
     assert!(!caps.is_empty(), "invert_total: empty cap set");
     // Sweep events: at `low_breakpoint` a job's slope turns on (+w); at
     // `high_breakpoint` it turns off (-w).
-    let mut events: Vec<(S, S)> = Vec::with_capacity(2 * caps.len());
+    events.clear();
     let mut g = S::ZERO; // Σ u_j(0) = Σ floor_j (w*0 <= floor for floor >= 0).
     for c in caps {
         g += c.floor;
@@ -111,7 +124,7 @@ pub fn invert_total<S: Scalar>(caps: &[LevelCap<S>], budget: S) -> S {
 
     let mut t = S::ZERO;
     let mut slope = S::ZERO;
-    for &(bp, dw) in &events {
+    for &(bp, dw) in events.iter() {
         if bp > t {
             // Advance the level across the segment [t, bp).
             let seg = bp - t;

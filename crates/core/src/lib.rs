@@ -79,4 +79,4 @@ pub use solver::{
     AmfSolver, BottleneckStrategy, FairnessMode, FreezeReason, FreezeRound, SolveOutput,
     SolveStats, SolverPool,
 };
-pub use water::{water_fill, water_fill_weighted};
+pub use water::{water_fill, water_fill_weighted, water_fill_weighted_into};

@@ -6,7 +6,7 @@
 //! capacity. It is also AMF specialised to one site, which the tests
 //! exploit as a cross-check on the flow-based solver.
 
-use crate::levels::{invert_total, LevelCap};
+use crate::levels::{invert_total_with, LevelCap};
 use amf_numeric::{min2, sum, Scalar};
 
 /// Max-min fair division of `capacity` among jobs with demand caps `caps`
@@ -23,9 +23,37 @@ use amf_numeric::{min2, sum, Scalar};
 /// # Panics
 /// Panics if lengths differ or a weight is non-positive.
 pub fn water_fill_weighted<S: Scalar>(capacity: S, caps: &[S], weights: &[S]) -> Vec<S> {
+    let mut out = vec![S::ZERO; caps.len()];
+    water_fill_weighted_into(
+        capacity,
+        caps,
+        weights,
+        &mut out,
+        &mut Vec::with_capacity(caps.len()),
+        &mut Vec::with_capacity(2 * caps.len()),
+    );
+    out
+}
+
+/// [`water_fill_weighted`] writing into `out` (one entry per cap), with
+/// caller-provided buffers for the level caps and the inversion's events
+/// (both cleared first) — allocation-free once the buffers have grown.
+///
+/// # Panics
+/// Panics if `caps`, `weights` and `out` differ in length or a weight is
+/// non-positive.
+pub fn water_fill_weighted_into<S: Scalar>(
+    capacity: S,
+    caps: &[S],
+    weights: &[S],
+    out: &mut [S],
+    levels: &mut Vec<LevelCap<S>>,
+    events: &mut Vec<(S, S)>,
+) {
     assert_eq!(caps.len(), weights.len(), "water_fill: length mismatch");
+    assert_eq!(caps.len(), out.len(), "water_fill: output length mismatch");
     if caps.is_empty() {
-        return Vec::new();
+        return;
     }
     for &w in weights {
         assert!(w.is_positive(), "water_fill: non-positive weight");
@@ -33,19 +61,19 @@ pub fn water_fill_weighted<S: Scalar>(capacity: S, caps: &[S], weights: &[S]) ->
     let total_demand = sum(caps.iter().copied());
     if !total_demand.definitely_gt(capacity) {
         // No contention: everyone gets their full demand.
-        return caps.to_vec();
+        out.copy_from_slice(caps);
+        return;
     }
-    let level_caps: Vec<LevelCap<S>> = caps
-        .iter()
-        .zip(weights)
-        .map(|(&c, &w)| LevelCap::new(w, S::ZERO, c))
-        .collect();
-    let t = invert_total(&level_caps, capacity);
-    level_caps
-        .iter()
-        .zip(caps)
-        .map(|(lc, &c)| min2(lc.at(t), c))
-        .collect()
+    levels.clear();
+    levels.extend(
+        caps.iter()
+            .zip(weights)
+            .map(|(&c, &w)| LevelCap::new(w, S::ZERO, c)),
+    );
+    let t = invert_total_with(levels, capacity, events);
+    for ((o, lc), &c) in out.iter_mut().zip(levels.iter()).zip(caps) {
+        *o = min2(lc.at(t), c);
+    }
 }
 
 /// Unweighted capped water-filling.

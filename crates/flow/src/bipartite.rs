@@ -373,6 +373,48 @@ impl<S: Scalar> AllocationNetwork<S> {
         }
     }
 
+    /// Sparse form of [`preload_split`](Self::preload_split): `flows`
+    /// holds each job's flow on its demand edges back to back, job by job,
+    /// entries in ascending site order — one per strictly positive demand,
+    /// so no dense matrix is needed. Job and site totals are summed in the
+    /// same order as `preload_split`'s, so the preloaded flows are bitwise
+    /// identical to it. `site_totals` is a reusable buffer. Call on a
+    /// reset network.
+    ///
+    /// # Panics
+    /// Panics if `flows` does not have one entry per demand edge, or if it
+    /// violates a demand, source-cap, or site capacity.
+    pub fn preload_edge_flows(&mut self, flows: &[S], site_totals: &mut Vec<S>) {
+        assert_eq!(
+            flows.len(),
+            self.n_demand_edges,
+            "preload_edge_flows: entry count"
+        );
+        site_totals.clear();
+        site_totals.resize(self.n_sites, S::ZERO);
+        let mut k = 0;
+        for j in 0..self.n_jobs {
+            let mut job_total = S::ZERO;
+            for &(s, e) in &self.demand_edges[j] {
+                let v = flows[k];
+                k += 1;
+                if v.is_positive() {
+                    self.net.add_flow(e, v);
+                    job_total += v;
+                    site_totals[s] += v;
+                }
+            }
+            if job_total.is_positive() {
+                self.net.add_flow(self.job_cap_edges[j], job_total);
+            }
+        }
+        for (s, &site_total) in site_totals.iter().enumerate() {
+            if site_total.is_positive() {
+                self.net.add_flow(self.site_cap_edges[s], site_total);
+            }
+        }
+    }
+
     /// After a max flow: the jobs on the **source side** of the minimum cut
     /// (i.e. the violating set when the current level is infeasible).
     pub fn source_side_jobs(&mut self) -> Vec<bool> {
@@ -797,6 +839,35 @@ mod tests {
         assert!((total - 6.0).abs() < 1e-12);
         assert!((net.job_flow(0) - 3.0).abs() < 1e-12);
         assert!((net.job_flow(1) - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn edge_flow_preload_matches_dense_preload() {
+        // Job 1 has no demand at site 0; its flows skip that cell.
+        let demands = vec![vec![2.0, 2.0, 1.0], vec![0.0, 2.0, 3.0]];
+        let caps = [3.0, 3.0, 3.0];
+        let x = vec![vec![0.1, 0.0, 0.7], vec![0.0, 1.3, 2.2]];
+        let mut dense = AllocationNetwork::new(&demands, &caps);
+        let mut sparse = AllocationNetwork::new(&demands, &caps);
+        for net in [&mut dense, &mut sparse] {
+            net.set_job_cap(0, 3.0);
+            net.set_job_cap(1, 4.0);
+        }
+        dense.preload_split(&x);
+        let mut totals = Vec::new();
+        sparse.preload_edge_flows(&[0.1, 0.0, 0.7, 1.3, 2.2], &mut totals);
+        let (a, b) = (dense.network(), sparse.network());
+        assert_eq!(a.edge_count(), b.edge_count());
+        for e in 0..a.edge_count() as EdgeId {
+            assert_eq!(a.flow(e).to_bits(), b.flow(e).to_bits(), "edge {e}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "entry count")]
+    fn edge_flow_preload_rejects_wrong_length() {
+        let mut net = AllocationNetwork::new(&[vec![1.0, 0.0]], &[1.0, 1.0]);
+        net.preload_edge_flows(&[0.5, 0.0], &mut Vec::new());
     }
 
     #[test]

@@ -8,12 +8,11 @@
 //! starves large jobs, bracketing the fair policies from the other side
 //! than equal division does.
 
-use crate::split::{balanced_progress_split, SplitStrategy};
+use crate::split::{balanced_progress_split, SplitStrategy, SplitWorkspace};
 use amf_core::{
-    Allocation, AllocationPolicy, AmfSolver, Delta, IncrementalAmf, Instance, SolveStats,
+    Allocation, AllocationPolicy, AmfSolver, Delta, IncrementalAmf, Instance, JobId, SolveStats,
 };
 use amf_numeric::KahanSum;
-use std::collections::BTreeMap;
 
 /// The active set at a reallocation instant, as seen by an
 /// [`IncrementalSession`]. Rows (and `ids` entries) are in the order the
@@ -152,13 +151,13 @@ impl DynamicPolicy for AmfBalanced {
     }
 
     fn incremental_session(&self, capacities: &[f64]) -> Option<Box<dyn IncrementalSession>> {
-        Some(Box::new(AmfSession {
-            session: IncrementalAmf::new(AmfSolver::new(), capacities.to_vec())
-                .expect("engine capacities are validated"),
-            split: SplitStrategy::BalancedProgress {
+        Some(Box::new(AmfSession::new(
+            AmfSolver::new(),
+            capacities,
+            SplitStrategy::BalancedProgress {
                 repair_rounds: self.repair_rounds,
             },
-        }))
+        )))
     }
 }
 
@@ -219,21 +218,36 @@ impl DynamicPolicy for AmfIncremental {
     }
 
     fn incremental_session(&self, capacities: &[f64]) -> Option<Box<dyn IncrementalSession>> {
-        Some(Box::new(AmfSession {
-            session: IncrementalAmf::new(self.solver, capacities.to_vec())
-                .expect("engine capacities are validated"),
-            split: self.split,
-        }))
+        Some(Box::new(AmfSession::new(
+            self.solver,
+            capacities,
+            self.split,
+        )))
     }
 }
 
 /// The [`IncrementalSession`] behind [`AmfIncremental`] and
-/// [`AmfBalanced`]: an [`IncrementalAmf`] plus the id↔slot bookkeeping
-/// that maps the session's dense output rows back to the engine's
-/// active-set order.
+/// [`AmfBalanced`]: an [`IncrementalAmf`] whose dense output rows are
+/// mapped back to the engine's active-set order through the session's id
+/// index, plus the split workspace and aggregate buffer reused across
+/// reallocations.
 struct AmfSession {
     session: IncrementalAmf<f64>,
     split: SplitStrategy,
+    workspace: SplitWorkspace,
+    aggregates: Vec<f64>,
+}
+
+impl AmfSession {
+    fn new(solver: AmfSolver, capacities: &[f64], split: SplitStrategy) -> Self {
+        AmfSession {
+            session: IncrementalAmf::new(solver, capacities.to_vec())
+                .expect("engine capacities are validated"),
+            split,
+            workspace: SplitWorkspace::new(),
+            aggregates: Vec::new(),
+        }
+    }
 }
 
 impl IncrementalSession for AmfSession {
@@ -245,35 +259,35 @@ impl IncrementalSession for AmfSession {
 
     fn rates(&mut self, ctx: &SessionCtx<'_>) -> Vec<Vec<f64>> {
         self.session.solve();
-        let out = self.session.last_output();
-        let dense: BTreeMap<u64, usize> = self
-            .session
-            .job_ids()
-            .iter()
-            .enumerate()
-            .map(|(row, id)| (id.0, row))
-            .collect();
         debug_assert_eq!(
-            dense.len(),
+            self.session.n_jobs(),
             ctx.ids.len(),
             "session/engine active sets differ"
         );
+        let session = &self.session;
+        let out = session.last_output();
+        let row = |id: &u64| {
+            session
+                .row_of(JobId(*id))
+                .expect("engine job is live in the session")
+        };
         match self.split {
             SplitStrategy::PolicySplit => ctx
                 .ids
                 .iter()
-                .map(|id| out.allocation.split()[dense[id]].clone())
+                .map(|id| out.allocation.split()[row(id)].clone())
                 .collect(),
             SplitStrategy::BalancedProgress { repair_rounds } => {
-                let aggregates: Vec<f64> = ctx
-                    .ids
-                    .iter()
-                    .map(|id| out.allocation.aggregates()[dense[id]])
-                    .collect();
-                balanced_progress_split(
+                self.aggregates.clear();
+                self.aggregates.extend(
+                    ctx.ids
+                        .iter()
+                        .map(|id| out.allocation.aggregates()[row(id)]),
+                );
+                self.workspace.split(
                     ctx.capacities,
                     ctx.demands,
-                    &aggregates,
+                    &self.aggregates,
                     ctx.remaining,
                     repair_rounds,
                 )

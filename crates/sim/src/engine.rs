@@ -2,7 +2,7 @@
 
 use crate::dynamic::SessionCtx;
 use crate::report::{JobOutcome, SimReport};
-use crate::split::{balanced_progress_split, SplitStrategy};
+use crate::split::{SplitStrategy, SplitWorkspace};
 use amf_core::{AllocationPolicy, Delta, Instance, JobId, SolveStats, SolverPool};
 use amf_workload::trace::Trace;
 
@@ -99,9 +99,12 @@ pub fn simulate_with_capacity_events(
     events: &[CapacityEvent],
 ) -> SimReport {
     let split = config.split;
-    // One pool for the whole event loop: solver-backed policies reuse the
-    // flow arena and round buffers across every reallocation.
+    // One pool and one split workspace for the whole event loop:
+    // solver-backed policies reuse the flow arena and round buffers, and
+    // the JCT add-on its cell layout and flow arena, across every
+    // reallocation.
     let mut pool = SolverPool::new();
+    let mut workspace = SplitWorkspace::new();
     run_engine(
         trace,
         events,
@@ -111,7 +114,7 @@ pub fn simulate_with_capacity_events(
             let alloc = policy.allocate_with_pool(&inst, &mut pool);
             match split {
                 SplitStrategy::PolicySplit => alloc.split().to_vec(),
-                SplitStrategy::BalancedProgress { repair_rounds } => balanced_progress_split(
+                SplitStrategy::BalancedProgress { repair_rounds } => workspace.split(
                     inst.capacities(),
                     inst.demands(),
                     alloc.aggregates(),
