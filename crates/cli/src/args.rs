@@ -9,8 +9,7 @@ amf — Aggregate Max-min Fair resource allocation (ICPP 2019 reproduction)
 USAGE:
     amf gen      --jobs N --sites M [--alpha A] [--sites-per-job K]
                  [--seed S] [--load RHO]        # emit a trace (JSON, stdout)
-    amf solve    [--policy P] [--backend dinic|push-relabel|auto]
-                 [--no-contraction] [--explain] [--dot] < trace.json
+    amf solve    [--policy P] [--explain] [--dot] < trace.json
                                                 # allocation table / DOT graph
     amf simulate [--policy P] [--jct-addon] [--engine fluid|slots]
                  [--incremental] < trace.json
@@ -41,9 +40,7 @@ POLICIES:
 NOTES:
     gen: --alpha sets Zipf skew of per-job site shares (default 0 = uniform);
          --load RHO adds Poisson arrivals at offered load RHO (default: batch).
-    solve: --backend picks the max-flow kernel (default dinic) and
-         --no-contraction disables the shrinking-network optimization;
-         both apply to AMF policies only and never change the allocation.
+    solve: --explain prints the freeze rounds (AMF policies only).
     simulate: --incremental feeds the event loop through a persistent
          delta-driven AMF session (same results, fewer re-solves) and
          reports how many freeze rounds were replayed vs. re-solved.
@@ -71,11 +68,6 @@ pub struct GenParams {
 pub struct SolveParams {
     /// Policy name.
     pub policy: String,
-    /// Max-flow kernel ("dinic"/"push-relabel"/"auto"; None = solver
-    /// default). AMF policies only.
-    pub backend: Option<String>,
-    /// Disable the shrinking-network contraction (AMF policies only).
-    pub no_contraction: bool,
     /// Print the freeze-round explanation (AMF policies only).
     pub explain: bool,
     /// Emit a Graphviz DOT graph of the allocation instead of the table.
@@ -229,6 +221,40 @@ fn value_of(args: &[String], flag: &str) -> Result<Option<String>, ParseError> {
     Ok(None)
 }
 
+/// Reject any token of a subcommand's `args` that is not one of its
+/// `valued` flags (each followed by its value), one of its `switches`, or
+/// one of its first `positionals` bare arguments — so a mistyped or
+/// retired flag is an error, not silently ignored.
+fn check_flags(
+    cmd: &str,
+    args: &[String],
+    valued: &[&str],
+    switches: &[&str],
+    positionals: usize,
+) -> Result<(), ParseError> {
+    let mut bare = 0;
+    let mut i = 0;
+    while i < args.len() {
+        let a = args[i].as_str();
+        if valued.contains(&a) {
+            i += 2;
+            continue;
+        }
+        i += 1;
+        if switches.contains(&a) {
+            continue;
+        }
+        if a.starts_with('-') {
+            return Err(ParseError(format!("{cmd}: unknown flag {a}")));
+        }
+        bare += 1;
+        if bare > positionals {
+            return Err(ParseError(format!("{cmd}: unexpected argument {a}")));
+        }
+    }
+    Ok(())
+}
+
 fn parse_num<T: std::str::FromStr>(v: &str, flag: &str) -> Result<T, ParseError> {
     v.parse()
         .map_err(|_| ParseError(format!("invalid value for {flag}: {v}")))
@@ -240,6 +266,20 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
         None | Some("--help") | Some("-h") | Some("help") => Ok(Command::Help),
         Some("gen") => {
             let rest = &argv[1..];
+            check_flags(
+                "gen",
+                rest,
+                &[
+                    "--jobs",
+                    "--sites",
+                    "--alpha",
+                    "--sites-per-job",
+                    "--seed",
+                    "--load",
+                ],
+                &[],
+                0,
+            )?;
             let jobs = value_of(rest, "--jobs")?
                 .ok_or_else(|| ParseError("gen: --jobs is required".into()))?;
             let sites = value_of(rest, "--sites")?
@@ -266,23 +306,27 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
             }))
         }
         Some("solve") => {
-            let backend = value_of(&argv[1..], "--backend")?;
-            if let Some(b) = &backend {
-                if b != "dinic" && b != "push-relabel" && b != "auto" {
-                    return Err(ParseError(format!(
-                        "unknown backend: {b} (try dinic, push-relabel, auto)"
-                    )));
-                }
-            }
+            check_flags(
+                "solve",
+                &argv[1..],
+                &["--policy"],
+                &["--explain", "--dot"],
+                0,
+            )?;
             Ok(Command::Solve(SolveParams {
                 policy: value_of(&argv[1..], "--policy")?.unwrap_or_else(|| "amf".into()),
-                backend,
-                no_contraction: argv[1..].iter().any(|a| a == "--no-contraction"),
                 explain: argv[1..].iter().any(|a| a == "--explain"),
                 dot: argv[1..].iter().any(|a| a == "--dot"),
             }))
         }
         Some("simulate") => {
+            check_flags(
+                "simulate",
+                &argv[1..],
+                &["--policy", "--engine"],
+                &["--jct-addon", "--incremental"],
+                0,
+            )?;
             let engine = value_of(&argv[1..], "--engine")?.unwrap_or_else(|| "fluid".into());
             if engine != "fluid" && engine != "slots" {
                 return Err(ParseError(format!("unknown engine: {engine}")));
@@ -300,8 +344,12 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 incremental,
             }))
         }
-        Some("check") => Ok(Command::Check),
+        Some("check") => {
+            check_flags("check", &argv[1..], &[], &[], 0)?;
+            Ok(Command::Check)
+        }
         Some("audit") => {
+            check_flags("audit", &argv[1..], &["--policy", "--mode"], &["--json"], 0)?;
             let mode = value_of(&argv[1..], "--mode")?;
             if let Some(m) = &mode {
                 if m != "plain" && m != "enhanced" {
@@ -314,9 +362,26 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 json: argv[1..].iter().any(|a| a == "--json"),
             }))
         }
-        Some("drf") => Ok(Command::Drf),
+        Some("drf") => {
+            check_flags("drf", &argv[1..], &[], &[], 0)?;
+            Ok(Command::Drf)
+        }
         Some("serve") => {
             let rest = &argv[1..];
+            check_flags(
+                "serve",
+                rest,
+                &[
+                    "--addr",
+                    "--workers",
+                    "--shards",
+                    "--queue-cap",
+                    "--scalar",
+                    "--port-file",
+                ],
+                &["--no-coalesce"],
+                0,
+            )?;
             let scalar = value_of(rest, "--scalar")?.unwrap_or_else(|| "f64".into());
             if scalar != "f64" && scalar != "rational" {
                 return Err(ParseError(format!(
@@ -344,6 +409,21 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
         }
         Some("client") => {
             let rest = &argv[1..];
+            check_flags(
+                "client",
+                rest,
+                &[
+                    "--addr",
+                    "--tenant",
+                    "--capacities",
+                    "--mode",
+                    "--id",
+                    "--demands",
+                    "--weight",
+                ],
+                &[],
+                1,
+            )?;
             let addr = value_of(rest, "--addr")?
                 .ok_or_else(|| ParseError("client: --addr is required".into()))?;
             // The action is the first non-flag, non-flag-value token.
@@ -482,8 +562,6 @@ mod tests {
             parse(&sv(&["solve"])).unwrap(),
             Command::Solve(SolveParams {
                 policy: "amf".into(),
-                backend: None,
-                no_contraction: false,
                 explain: false,
                 dot: false,
             })
@@ -492,29 +570,10 @@ mod tests {
             parse(&sv(&["solve", "--explain"])).unwrap(),
             Command::Solve(SolveParams {
                 policy: "amf".into(),
-                backend: None,
-                no_contraction: false,
                 explain: true,
                 dot: false,
             })
         );
-        assert_eq!(
-            parse(&sv(&[
-                "solve",
-                "--backend",
-                "push-relabel",
-                "--no-contraction"
-            ]))
-            .unwrap(),
-            Command::Solve(SolveParams {
-                policy: "amf".into(),
-                backend: Some("push-relabel".into()),
-                no_contraction: true,
-                explain: false,
-                dot: false,
-            })
-        );
-        assert!(parse(&sv(&["solve", "--backend", "bfs"])).is_err());
         assert_eq!(
             parse(&sv(&[
                 "simulate",
@@ -579,6 +638,55 @@ mod tests {
             })
         );
         assert!(parse(&sv(&["audit", "--mode", "strict"])).is_err());
+    }
+
+    /// The error names the offending token.
+    fn rejected(argv: &[&str], token: &str) {
+        let err = parse(&sv(argv)).expect_err("must be rejected").to_string();
+        assert!(
+            err.lines().next().is_some_and(|l| l.contains(token)),
+            "{argv:?}: {err}"
+        );
+    }
+
+    #[test]
+    fn solve_rejects_unknown_flags() {
+        rejected(&["solve", "--explian", "--no-such-flag"], "--explian");
+        // A flag the solver does not have is an error, not a silent no-op,
+        // with or without a value after it.
+        rejected(&["solve", "--fast"], "--fast");
+        rejected(&["solve", "--kernel", "dinic"], "--kernel");
+        rejected(&["solve", "--policy", "amf", "extra"], "extra");
+        // A flag's value is not mistaken for a flag.
+        assert!(parse(&sv(&["solve", "--policy", "amf", "--dot"])).is_ok());
+    }
+
+    #[test]
+    fn simulate_rejects_unknown_flags() {
+        rejected(&["simulate", "--jct-adon"], "--jct-adon");
+        rejected(&["simulate", "--engine", "slots", "-v"], "-v");
+        assert!(parse(&sv(&["simulate", "--engine", "slots", "--jct-addon"])).is_ok());
+    }
+
+    #[test]
+    fn gen_rejects_unknown_flags() {
+        rejected(
+            &["gen", "--jobs", "4", "--sites", "2", "--no-such-flag"],
+            "--no-such-flag",
+        );
+        rejected(&["gen", "--jobs", "4", "--sites", "2", "7"], "7");
+        // Values may look like short flags.
+        assert!(parse(&sv(&["gen", "--jobs", "4", "--sites", "2", "--load", "-1"])).is_ok());
+    }
+
+    #[test]
+    fn other_commands_reject_unknown_flags() {
+        rejected(&["check", "--verbose"], "--verbose");
+        rejected(&["drf", "--json"], "--json");
+        rejected(&["audit", "--jsn"], "--jsn");
+        rejected(&["serve", "--port", "1"], "--port");
+        rejected(&["client", "--addr", "a:1", "stats", "--force"], "--force");
+        rejected(&["client", "--addr", "a:1", "solve", "now"], "now");
     }
 
     #[test]

@@ -73,54 +73,21 @@ pub fn generate(p: &GenParams) -> Result<String, String> {
     Ok(trace.to_json())
 }
 
-/// Build the configured [`AmfSolver`] for an AMF policy name, applying the
-/// `--backend` / `--no-contraction` solver knobs; `None` for non-AMF
-/// policies (which reject those knobs — they have no flow kernel).
-fn amf_solver_for(p: &SolveParams) -> Result<Option<AmfSolver>, String> {
-    let base = match p.policy.as_str() {
-        "amf" => Some(AmfSolver::new()),
-        "amf-enhanced" => Some(AmfSolver::enhanced()),
-        _ => None,
-    };
-    let Some(mut solver) = base else {
-        if p.backend.is_some() || p.no_contraction {
-            return Err(format!(
-                "--backend/--no-contraction require an AMF policy (got {})",
-                p.policy
-            ));
-        }
-        return Ok(None);
-    };
-    if let Some(backend) = &p.backend {
-        solver = solver.with_flow_backend(match backend.as_str() {
-            "push-relabel" => amf_core::FlowBackend::PushRelabel,
-            "auto" => amf_core::FlowBackend::Auto,
-            _ => amf_core::FlowBackend::Dinic,
-        });
-    }
-    if p.no_contraction {
-        solver = solver.without_contraction();
-    }
-    Ok(Some(solver))
-}
-
 /// `amf solve`.
 pub fn solve(p: &SolveParams, stdin: &str) -> Result<String, String> {
     let trace = read_trace(stdin)?;
     let policy = lookup_policy(&p.policy)?;
-    let solver_override = amf_solver_for(p)?;
     let inst: Instance<f64> = trace.workload().instance();
     if p.dot {
-        let alloc = match solver_override {
-            Some(solver) => solver.allocate(&inst),
-            None => policy.allocate(&inst),
-        };
-        return Ok(amf_core::to_dot(&inst, Some(&alloc)));
+        return Ok(amf_core::to_dot(&inst, Some(&policy.allocate(&inst))));
     }
     let mut explanation = String::new();
     let alloc = if p.explain {
-        let solver = solver_override
-            .ok_or_else(|| format!("--explain requires an AMF policy (got {})", p.policy))?;
+        let solver = match p.policy.as_str() {
+            "amf" => AmfSolver::new(),
+            "amf-enhanced" => AmfSolver::enhanced(),
+            other => return Err(format!("--explain requires an AMF policy (got {other})")),
+        };
         let out = solver.solve(&inst);
         explanation.push_str("freeze rounds (level: jobs frozen):\n");
         for round in &out.rounds {
@@ -142,8 +109,6 @@ pub fn solve(p: &SolveParams, stdin: &str) -> Result<String, String> {
             ));
         }
         out.allocation
-    } else if let Some(solver) = solver_override {
-        solver.allocate(&inst)
     } else {
         policy.allocate(&inst)
     };
@@ -580,8 +545,6 @@ mod tests {
         let out = solve(
             &SolveParams {
                 policy: "amf".into(),
-                backend: None,
-                no_contraction: false,
                 explain: false,
                 dot: false,
             },
@@ -596,40 +559,6 @@ mod tests {
                 .count()
                 >= 5
         );
-    }
-
-    #[test]
-    fn solve_backend_flags_do_not_change_the_allocation() {
-        let json = generate(&gen_params()).unwrap();
-        let base = SolveParams {
-            policy: "amf".into(),
-            backend: None,
-            no_contraction: false,
-            explain: false,
-            dot: false,
-        };
-        let reference = solve(&base, &json).unwrap();
-        for (backend, no_contraction) in [
-            (Some("push-relabel".to_string()), false),
-            (Some("auto".to_string()), false),
-            (None, true),
-        ] {
-            let p = SolveParams {
-                backend,
-                no_contraction,
-                ..base.clone()
-            };
-            assert_eq!(solve(&p, &json).unwrap(), reference);
-        }
-        // Non-AMF policies reject the solver knobs.
-        let bad = SolveParams {
-            policy: "per-site-max-min".into(),
-            backend: Some("auto".into()),
-            no_contraction: false,
-            explain: false,
-            dot: false,
-        };
-        assert!(solve(&bad, &json).is_err());
     }
 
     #[test]
@@ -655,8 +584,6 @@ mod tests {
         let out = solve(
             &SolveParams {
                 policy: "amf".into(),
-                backend: None,
-                no_contraction: false,
                 explain: false,
                 dot: true,
             },
@@ -672,8 +599,6 @@ mod tests {
         let out = solve(
             &SolveParams {
                 policy: "amf".into(),
-                backend: None,
-                no_contraction: false,
                 explain: true,
                 dot: false,
             },
@@ -686,8 +611,6 @@ mod tests {
         assert!(solve(
             &SolveParams {
                 policy: "per-site-max-min".into(),
-                backend: None,
-                no_contraction: false,
                 explain: true,
                 dot: false,
             },

@@ -245,8 +245,8 @@ pub struct IncrementalAmf<S> {
 }
 
 impl<S: Scalar> IncrementalAmf<S> {
-    /// An empty session over `capacities` driven by `solver`'s
-    /// configuration (fairness mode, flow backend).
+    /// An empty session over `capacities` solving in `solver`'s fairness
+    /// mode.
     pub fn new(solver: AmfSolver, capacities: Vec<S>) -> Result<Self, DeltaError> {
         for (s, c) in capacities.iter().enumerate() {
             if *c < S::ZERO || !c.is_valid() {
@@ -254,8 +254,7 @@ impl<S: Scalar> IncrementalAmf<S> {
                 return Err(DeltaError::InvalidValue { what: "capacity" });
             }
         }
-        let net = AllocationNetwork::new(&[] as &[Vec<S>], &capacities)
-            .with_backend(solver.flow_backend());
+        let net = AllocationNetwork::new(&[] as &[Vec<S>], &capacities);
         Ok(IncrementalAmf {
             solver,
             capacities,

@@ -39,8 +39,8 @@
 //!   [`pooled_max_min_bound`] — the baselines;
 //! * [`properties`] — Pareto efficiency, envy-freeness, sharing incentive
 //!   and strategy-proofness checkers;
-//! * [`reference_aggregates`] — brute-force ground truth for small
-//!   instances;
+//! * [`reference_aggregates`] / [`reference_solve`] — brute-force ground
+//!   truth (aggregates, and the round log) for small instances;
 //! * [`water_fill`] / [`water_fill_weighted`] — conventional single-pool
 //!   max-min fairness.
 //!
@@ -68,15 +68,13 @@ mod reference;
 pub mod solver;
 mod water;
 
-pub use amf_flow::FlowBackend;
 pub use baselines::{pooled_max_min_bound, EqualDivision, PerSiteMaxMin, ProportionalToDemand};
 pub use dot::to_dot;
 pub use incremental::{Delta, DeltaError, IncrementalAmf, JobId};
 pub use model::{Allocation, Instance, ModelError};
 pub use policy::{AllocationPolicy, PooledAmf};
-pub use reference::{reference_aggregates, MAX_REFERENCE_JOBS};
+pub use reference::{reference_aggregates, reference_solve, ReferenceSolve, MAX_REFERENCE_JOBS};
 pub use solver::{
-    AmfSolver, BottleneckStrategy, FairnessMode, FreezeReason, FreezeRound, SolveOutput,
-    SolveStats, SolverPool,
+    AmfSolver, FairnessMode, FreezeReason, FreezeRound, SolveOutput, SolveStats, SolverPool,
 };
 pub use water::{water_fill, water_fill_weighted, water_fill_weighted_into};

@@ -12,28 +12,55 @@
 //! textbook characterization of max-min fairness on a polymatroid — `O(2^n)`
 //! per round, but it shares *no* bottleneck-detection machinery with the
 //! flow-based solver in [`crate::solver`], which makes it an independent
-//! ground truth for cross-checking (experiment E9).
+//! ground truth for cross-checking (experiment E9). Besides the aggregates
+//! it records the round log in the solver's [`FreezeRound`] vocabulary, so
+//! tests can check the solver's explanation as well as its answer.
 
 use crate::levels::{invert_total, LevelCap};
 use crate::model::Instance;
-use crate::solver::FairnessMode;
+use crate::solver::{FairnessMode, FreezeReason, FreezeRound};
 use amf_numeric::{max2, min2, sum, Scalar};
 
 /// Maximum job count accepted by the reference solver (2^n subsets).
 pub const MAX_REFERENCE_JOBS: usize = 16;
+
+/// The brute-force solve: the AMF aggregates and the progressive-filling
+/// rounds that produced them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReferenceSolve<S> {
+    /// The exact AMF aggregate of every job.
+    pub aggregates: Vec<S>,
+    /// One entry per round, in round order: the level and every job frozen
+    /// at it, in ascending job order. A job that reaches its demand at the
+    /// level is [`FreezeReason::DemandCapped`] even when it also sits in a
+    /// tight set, as in the solver.
+    pub rounds: Vec<FreezeRound<S>>,
+}
 
 /// Compute the exact AMF aggregate vector by subset enumeration.
 ///
 /// # Panics
 /// Panics if the instance has more than [`MAX_REFERENCE_JOBS`] jobs.
 pub fn reference_aggregates<S: Scalar>(inst: &Instance<S>, mode: FairnessMode) -> Vec<S> {
+    reference_solve(inst, mode).aggregates
+}
+
+/// [`reference_aggregates`] together with the round log.
+///
+/// # Panics
+/// Panics if the instance has more than [`MAX_REFERENCE_JOBS`] jobs.
+pub fn reference_solve<S: Scalar>(inst: &Instance<S>, mode: FairnessMode) -> ReferenceSolve<S> {
     let n = inst.n_jobs();
     assert!(
         n <= MAX_REFERENCE_JOBS,
         "reference solver is exponential; n = {n} > {MAX_REFERENCE_JOBS}"
     );
+    let mut rounds = Vec::new();
     if n == 0 {
-        return Vec::new();
+        return ReferenceSolve {
+            aggregates: Vec::new(),
+            rounds,
+        };
     }
 
     let caps: Vec<LevelCap<S>> = (0..n)
@@ -98,12 +125,13 @@ pub fn reference_aggregates<S: Scalar>(inst: &Instance<S>, mode: FairnessMode) -
             }
         }
 
-        // Freeze: demand-capped jobs and active members of tight sets.
-        let mut froze_any = false;
+        // Freeze: demand-capped jobs first, then active members of tight
+        // sets.
+        let mut reasons: Vec<Option<FreezeReason>> = vec![None; n];
         for j in 0..n {
             if frozen[j].is_none() && !caps[j].at(t_star).definitely_lt(caps[j].ceil) {
                 frozen[j] = Some(caps[j].ceil);
-                froze_any = true;
+                reasons[j] = Some(FreezeReason::DemandCapped);
             }
         }
         for mask in 1u32..(1 << n) {
@@ -125,21 +153,33 @@ pub fn reference_aggregates<S: Scalar>(inst: &Instance<S>, mode: FairnessMode) -
                 for (j, &inside) in members.iter().enumerate() {
                     if inside && frozen[j].is_none() {
                         frozen[j] = Some(caps[j].at(t_star));
-                        froze_any = true;
+                        reasons[j] = Some(FreezeReason::Bottlenecked);
                     }
                 }
             }
         }
+        let round = FreezeRound {
+            level: t_star,
+            frozen: reasons
+                .iter()
+                .enumerate()
+                .filter_map(|(j, reason)| reason.map(|r| (j, r)))
+                .collect(),
+        };
         assert!(
-            froze_any,
+            !round.frozen.is_empty(),
             "reference solver: no job froze at level {t_star} (numeric trouble)"
         );
+        rounds.push(round);
     }
 
-    frozen
-        .into_iter()
-        .map(|a| a.expect("loop exits only when every job is frozen"))
-        .collect()
+    ReferenceSolve {
+        aggregates: frozen
+            .into_iter()
+            .map(|a| a.expect("loop exits only when every job is frozen"))
+            .collect(),
+        rounds,
+    }
 }
 
 #[cfg(test)]

@@ -1,20 +1,26 @@
 //! Property test for the shrinking-network solver core: the contracted
-//! path, the push–relabel backend, and the batch API must all agree with
-//! the legacy full-network Dinic solver — bit-exactly on [`Rational`],
-//! within tolerance on `f64` — and every one of the four outputs must earn
-//! the independent `amf-audit` certificate on random skewed instances.
+//! solve and the batch API must both agree with the brute-force reference
+//! (`reference_solve`, exhaustive subset enumeration that shares no flow
+//! machinery with the solver) — aggregates and freeze rounds bit-exactly
+//! on [`Rational`], aggregates within 1e-6 on `f64` — and every output
+//! must earn the independent `amf-audit` certificate on random skewed
+//! instances.
 
-use amf_audit::audit;
-use amf_core::{AmfSolver, FairnessMode, FlowBackend, Instance, SolveOutput};
-use amf_numeric::Rational;
+use amf_audit::{audit, AuditReport};
+use amf_core::{reference_solve, AmfSolver, FairnessMode, Instance, SolveOutput};
+use amf_numeric::{Rational, Scalar};
 use proptest::prelude::*;
+
+/// One generated instance: capacities, demand rows, per-job weights (all 1
+/// when unweighted), whether it is weighted, and whether Enhanced.
+type Shape = (Vec<i64>, Vec<Vec<i64>>, Vec<i64>, bool, bool);
 
 /// Random skewed shapes: a few jobs are "elephants" whose demands are an
 /// order of magnitude above the rest, and some job/site cells are zeroed
-/// (data locality), which is what makes contraction and backend choice
-/// interesting.
-fn skewed_shape() -> impl Strategy<Value = (Vec<i64>, Vec<Vec<i64>>, bool)> {
-    (1usize..=6, 1usize..=4, 0u8..2).prop_flat_map(|(n, m, enhanced)| {
+/// (data locality), which is what makes contraction interesting. Half the
+/// instances carry non-uniform weights.
+fn skewed_shape() -> impl Strategy<Value = Shape> {
+    (1usize..=8, 1usize..=4, 0u8..2, 0u8..2).prop_flat_map(|(n, m, enhanced, weighted)| {
         (
             proptest::collection::vec(1i64..24, m),
             proptest::collection::vec(
@@ -33,9 +39,30 @@ fn skewed_shape() -> impl Strategy<Value = (Vec<i64>, Vec<Vec<i64>>, bool)> {
                     })
                     .collect()
             }),
+            proptest::collection::vec(1i64..4, n).prop_map(move |w| {
+                if weighted == 1 {
+                    w
+                } else {
+                    vec![1; w.len()]
+                }
+            }),
+            Just(weighted == 1),
             Just(enhanced == 1),
         )
     })
+}
+
+fn instance<S: Scalar>(caps: &[i64], demands: &[Vec<i64>], weights: &[i64]) -> Instance<S> {
+    let conv = |v: i64| S::from_ratio(v, 1);
+    Instance::weighted(
+        caps.iter().map(|&c| conv(c)).collect(),
+        demands
+            .iter()
+            .map(|row| row.iter().map(|&d| conv(d)).collect())
+            .collect(),
+        weights.iter().map(|&w| conv(w)).collect(),
+    )
+    .expect("positive capacities and weights")
 }
 
 fn solver(enhanced: bool) -> AmfSolver {
@@ -54,95 +81,77 @@ fn mode(enhanced: bool) -> FairnessMode {
     }
 }
 
-/// The four solver configurations under test, in a fixed order:
-/// legacy full-network, contracted (default), contracted + push–relabel,
-/// and the batch API (which runs the contracted solver through a pool).
-fn four_ways<S: amf_numeric::Scalar>(
-    inst: &Instance<S>,
-    enhanced: bool,
-) -> Vec<(&'static str, SolveOutput<S>)> {
+/// The two solver entry points under test: a standalone contracted solve
+/// and the batch API (which runs the same solver through per-worker pools).
+fn both_ways<S: Scalar>(inst: &Instance<S>, enhanced: bool) -> [(&'static str, SolveOutput<S>); 2] {
     let s = solver(enhanced);
     let batch = s
         .solve_batch_with(std::slice::from_ref(inst), 2)
         .pop()
         .expect("one instance in, one out");
-    vec![
-        ("full", s.without_contraction().solve(inst)),
-        ("contracted", s.solve(inst)),
-        (
-            "push-relabel",
-            s.with_flow_backend(FlowBackend::PushRelabel).solve(inst),
-        ),
-        ("batch", batch),
-    ]
+    [("contracted", s.solve(inst)), ("batch", batch)]
+}
+
+/// Whether `report` certifies the allocation. Plain AMF's envy-freeness is
+/// an unweighted property, so weighted Plain instances are held to the
+/// weight-agnostic core (feasibility + lex-optimality + Pareto) instead of
+/// the full certificate.
+fn certified<S: Scalar>(report: &AuditReport<S>, enhanced: bool, weighted: bool) -> bool {
+    if enhanced || !weighted {
+        report.is_certified_amf()
+    } else {
+        report.feasibility.is_proved()
+            && report.lex_optimality.is_proved()
+            && report.pareto.is_proved()
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Bit-exact agreement of all four paths on exact rationals, and a
-    /// full audit certificate for each.
-    #[test]
-    fn four_way_agreement_is_exact_on_rationals(
-        (caps, demands, enhanced) in skewed_shape()
+    /// Bit-exact agreement of both entry points with the reference on
+    /// exact rationals — aggregates and rounds — and an audit certificate
+    /// for each.
+    fn agreement_with_reference_is_exact_on_rationals(
+        (caps, demands, weights, weighted, enhanced) in skewed_shape()
     ) {
-        let inst = Instance::new(
-            caps.iter().map(|&c| Rational::from_int(c as i128)).collect(),
-            demands
-                .iter()
-                .map(|row| row.iter().map(|&d| Rational::from_int(d as i128)).collect())
-                .collect(),
-        )
-        .expect("positive capacities");
-        let outs = four_ways(&inst, enhanced);
-        let (ref_name, ref_out) = &outs[0];
-        for (name, out) in &outs[1..] {
+        let inst: Instance<Rational> = instance(&caps, &demands, &weights);
+        let reference = reference_solve(&inst, mode(enhanced));
+        for (name, out) in both_ways(&inst, enhanced) {
             prop_assert_eq!(
                 out.allocation.aggregates(),
-                ref_out.allocation.aggregates(),
-                "{} disagrees with {}", name, ref_name
+                &reference.aggregates[..],
+                "{} disagrees with the reference", name
             );
-            prop_assert_eq!(&out.rounds, &ref_out.rounds, "{} rounds differ", name);
-        }
-        for (name, out) in &outs {
+            prop_assert_eq!(&out.rounds, &reference.rounds, "{} rounds differ", name);
             let report = audit(&inst, &out.allocation, mode(enhanced));
             prop_assert!(
-                report.is_certified_amf(),
+                certified(&report, enhanced, weighted),
                 "{} output failed audit: {}", name, report.summary()
             );
         }
     }
 
-    /// Tolerance agreement of all four paths on f64, each audit-certified.
-    #[test]
-    fn four_way_agreement_within_tolerance_on_f64(
-        (caps, demands, enhanced) in skewed_shape()
+    /// Tolerance agreement of both entry points on f64 with the exact
+    /// reference aggregates, each output audit-certified.
+    fn agreement_with_reference_within_tolerance_on_f64(
+        (caps, demands, weights, weighted, enhanced) in skewed_shape()
     ) {
-        let inst = Instance::new(
-            caps.iter().map(|&c| c as f64).collect(),
-            demands
-                .iter()
-                .map(|row| row.iter().map(|&d| d as f64).collect())
-                .collect(),
-        )
-        .expect("positive capacities");
-        let outs = four_ways(&inst, enhanced);
-        let (ref_name, ref_out) = &outs[0];
-        for (name, out) in &outs[1..] {
-            for j in 0..inst.n_jobs() {
-                let a = out.allocation.aggregate(j);
-                let b = ref_out.allocation.aggregate(j);
+        let exact: Instance<Rational> = instance(&caps, &demands, &weights);
+        let reference = reference_solve(&exact, mode(enhanced));
+        let inst: Instance<f64> = instance(&caps, &demands, &weights);
+        for (name, out) in both_ways(&inst, enhanced) {
+            for (j, want) in reference.aggregates.iter().enumerate() {
+                let got = out.allocation.aggregate(j);
                 prop_assert!(
-                    (a - b).abs() < 1e-6,
-                    "{} vs {} job {}: {} vs {}", name, ref_name, j, a, b
+                    (got - want.to_f64()).abs() < 1e-6,
+                    "{} job {}: {} vs reference {}", name, j, got, want
                 );
             }
-        }
-        for (name, out) in &outs {
             prop_assert!(out.allocation.is_feasible(&inst), "{} infeasible", name);
             let report = audit(&inst, &out.allocation, mode(enhanced));
             prop_assert!(
-                report.is_certified_amf(),
+                certified(&report, enhanced, weighted),
                 "{} output failed audit: {}", name, report.summary()
             );
         }

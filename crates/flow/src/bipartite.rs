@@ -1,30 +1,9 @@
 //! The jobs-by-sites allocation network driven by the AMF solver.
 
+use crate::dinic;
 use crate::graph::{EdgeId, FlowNetwork, NodeId};
 use crate::scratch::FlowScratch;
-use crate::{dinic, push_relabel};
 use amf_numeric::{max2, min2, Scalar};
-
-/// Which max-flow kernel an [`AllocationNetwork`] runs.
-///
-/// Dinic augments from the current flow (supports warm starts) and wins on
-/// sparse demand graphs; FIFO push–relabel recomputes from scratch but
-/// tends to win on dense bipartite graphs. `Auto` picks per call: Dinic
-/// whenever a warm flow is present, otherwise by demand-edge density.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FlowBackend {
-    /// Dinic's algorithm (default): warm-startable, strongly polynomial.
-    #[default]
-    Dinic,
-    /// FIFO push–relabel with the gap heuristic. Always recomputes from
-    /// scratch — pre-existing flow is cleared on every run.
-    PushRelabel,
-    /// Choose per call: Dinic when flow is already present (so warm starts
-    /// keep working), otherwise push–relabel on dense networks
-    /// (≥ half the job×site cells carry demand and the network is not
-    /// trivially small) and Dinic on sparse ones.
-    Auto,
-}
 
 /// Recycled [`AllocationNetwork`] side structures (edge-id maps, liveness
 /// flags), stashed in the [`FlowScratch`] by
@@ -77,7 +56,6 @@ pub struct AllocationNetwork<S> {
     /// [`add_job`](Self::add_job) before any new node is appended.
     live: Vec<bool>,
     free_slots: Vec<usize>,
-    backend: FlowBackend,
     scratch: FlowScratch<S>,
 }
 
@@ -90,23 +68,13 @@ impl<S: Scalar> AllocationNetwork<S> {
     /// # Panics
     /// Panics on negative demands/capacities or ragged demand rows.
     pub fn new(demands: &[Vec<S>], capacities: &[S]) -> Self {
-        Self::new_with_scratch(
-            demands,
-            capacities,
-            FlowBackend::default(),
-            FlowScratch::new(),
-        )
+        Self::new_with_scratch(demands, capacities, FlowScratch::new())
     }
 
-    /// [`new`](Self::new) with an explicit [`FlowBackend`] and a reused
-    /// [`FlowScratch`] arena (typically recovered from a retired network
-    /// via [`take_scratch`](Self::take_scratch)).
-    pub fn new_with_scratch(
-        demands: &[Vec<S>],
-        capacities: &[S],
-        backend: FlowBackend,
-        scratch: FlowScratch<S>,
-    ) -> Self {
+    /// [`new`](Self::new) with a reused [`FlowScratch`] arena (typically
+    /// recovered from a retired network via
+    /// [`take_scratch`](Self::take_scratch)).
+    pub fn new_with_scratch(demands: &[Vec<S>], capacities: &[S], scratch: FlowScratch<S>) -> Self {
         let n_jobs = demands.len();
         let n_sites = capacities.len();
         for row in demands {
@@ -177,20 +145,8 @@ impl<S: Scalar> AllocationNetwork<S> {
             site_nodes,
             live,
             free_slots,
-            backend,
             scratch,
         }
-    }
-
-    /// Replace the flow backend, returning `self` (builder style).
-    pub fn with_backend(mut self, backend: FlowBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// The configured backend (before `Auto` resolution).
-    pub fn backend(&self) -> FlowBackend {
-        self.backend
     }
 
     /// Move the scratch arena out (leaving an empty one behind), so a
@@ -251,43 +207,12 @@ impl<S: Scalar> AllocationNetwork<S> {
         self.net.reset_flow();
     }
 
-    /// Compute a maximum flow with the configured [`FlowBackend`],
-    /// returning the **total** flow now leaving the source. Dinic augments
-    /// on top of any existing flow; push–relabel recomputes from scratch.
+    /// Compute a maximum flow with Dinic's algorithm, augmenting on top of
+    /// any existing flow, and return the **total** flow now leaving the
+    /// source.
     pub fn run_max_flow(&mut self) -> S {
-        let backend = match self.backend {
-            FlowBackend::Auto => self.resolve_auto(),
-            b => b,
-        };
-        match backend {
-            FlowBackend::Dinic | FlowBackend::Auto => {
-                dinic::max_flow_with(&mut self.net, self.source, self.sink, &mut self.scratch);
-            }
-            FlowBackend::PushRelabel => {
-                push_relabel::max_flow_with(
-                    &mut self.net,
-                    self.source,
-                    self.sink,
-                    &mut self.scratch,
-                );
-            }
-        }
+        dinic::max_flow_with(&mut self.net, self.source, self.sink, &mut self.scratch);
         self.total_flow()
-    }
-
-    /// The kernel `Auto` would pick right now (also used by diagnostics).
-    pub fn resolve_auto(&self) -> FlowBackend {
-        // A present flow means the caller is warm-starting: only Dinic
-        // augments incrementally, so switching kernels would discard it.
-        if self.total_flow().is_positive() {
-            return FlowBackend::Dinic;
-        }
-        let cells = self.n_jobs * self.n_sites;
-        if cells >= 256 && 2 * self.n_demand_edges >= cells {
-            FlowBackend::PushRelabel
-        } else {
-            FlowBackend::Dinic
-        }
     }
 
     /// Total flow currently leaving the source.
@@ -434,17 +359,6 @@ impl<S: Scalar> AllocationNetwork<S> {
                 .iter()
                 .map(|&v| self.scratch.is_seen(v as usize)),
         );
-    }
-
-    /// After a max flow: for each job, whether its node still has a residual
-    /// path to the sink — i.e. whether the job's allocation could grow if
-    /// its source cap were raised. Jobs without such a path are bottlenecked
-    /// and freeze at the current level.
-    pub fn jobs_with_residual_to_sink(&mut self) -> Vec<bool> {
-        let mut jobs = Vec::new();
-        let mut sites = Vec::new();
-        self.sink_reachability_into(&mut jobs, &mut sites);
-        jobs
     }
 
     /// After a max flow: which job nodes and which site nodes still have a
@@ -749,6 +663,13 @@ mod tests {
         Rational::from_int(n)
     }
 
+    /// Which jobs still have a residual path to the sink.
+    fn growable_jobs(net: &mut AllocationNetwork<f64>) -> Vec<bool> {
+        let (mut jobs, mut sites) = (Vec::new(), Vec::new());
+        net.sink_reachability_into(&mut jobs, &mut sites);
+        jobs
+    }
+
     /// Two jobs, one site of capacity 10; both demand 10 there.
     #[test]
     fn contention_on_single_site() {
@@ -802,7 +723,7 @@ mod tests {
         let side = net.source_side_jobs();
         assert!(side[0], "bottlenecked job must be on the source side");
         assert!(!side[1]);
-        let grow = net.jobs_with_residual_to_sink();
+        let grow = growable_jobs(&mut net);
         assert!(!grow[0]);
         // Job 1 is capped by its source edge, not by the site: it could grow.
         assert!(grow[1]);
@@ -910,56 +831,6 @@ mod tests {
         assert!((net.site_residual(0) - 3.0).abs() < 1e-12);
     }
 
-    #[test]
-    fn backends_agree_on_allocation_networks() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(11);
-        for _ in 0..40 {
-            let n = rng.gen_range(1..9usize);
-            let m = rng.gen_range(1..6usize);
-            let demands: Vec<Vec<f64>> = (0..n)
-                .map(|_| (0..m).map(|_| rng.gen_range(0..8) as f64).collect())
-                .collect();
-            let caps: Vec<f64> = (0..m).map(|_| rng.gen_range(0..20) as f64).collect();
-            let caps_per_job: Vec<f64> =
-                (0..n).map(|_| rng.gen_range(0..10) as f64 + 0.5).collect();
-            let mut values = Vec::new();
-            for backend in [
-                FlowBackend::Dinic,
-                FlowBackend::PushRelabel,
-                FlowBackend::Auto,
-            ] {
-                let mut net = AllocationNetwork::new(&demands, &caps).with_backend(backend);
-                for (j, &c) in caps_per_job.iter().enumerate() {
-                    net.set_job_cap(j, c);
-                }
-                values.push(net.run_max_flow());
-            }
-            for w in values.windows(2) {
-                assert!((w[0] - w[1]).abs() < 1e-9, "backends disagree: {values:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn auto_prefers_dinic_when_warm() {
-        // Dense enough that a cold Auto picks push–relabel...
-        let n = 20;
-        let m = 20;
-        let demands: Vec<Vec<f64>> = vec![vec![1.0; m]; n];
-        let caps = vec![5.0; m];
-        let net = AllocationNetwork::new(&demands, &caps).with_backend(FlowBackend::Auto);
-        assert_eq!(net.resolve_auto(), FlowBackend::PushRelabel);
-        // ...but a warm flow forces Dinic so the preload is not discarded.
-        let mut net = net;
-        net.set_job_cap(0, 1.0);
-        let mut x = vec![vec![0.0; m]; n];
-        x[0][0] = 0.5;
-        net.preload_split(&x);
-        assert_eq!(net.resolve_auto(), FlowBackend::Dinic);
-    }
-
     /// Conservation at every non-terminal node (drain repair must keep it).
     fn assert_conserved(net: &AllocationNetwork<f64>) {
         for v in 2..net.network().node_count() {
@@ -1008,10 +879,10 @@ mod tests {
         // Reachability buffers must track the appended node id: both jobs
         // are fully satisfied (demand edges saturated), so neither grows,
         // and the vector covers the appended slot.
-        let grow = net.jobs_with_residual_to_sink();
+        let grow = growable_jobs(&mut net);
         assert_eq!(grow, vec![false, false]);
         net.set_demand(j, 0, 9.0);
-        let grow = net.jobs_with_residual_to_sink();
+        let grow = growable_jobs(&mut net);
         assert_eq!(grow, vec![false, true], "raised demand reopens growth");
     }
 
@@ -1058,7 +929,7 @@ mod tests {
         assert_eq!(net.demand_edge_count(), 2);
         let total = net.run_max_flow();
         assert!((total - 4.0).abs() < 1e-12, "got {total}");
-        // Lowering to zero retires the edge from the density count.
+        // Lowering to zero retires the edge from the demand-edge count.
         net.set_demand(0, 1, 0.0);
         assert_conserved(&net);
         assert_eq!(net.demand_edge_count(), 1);
@@ -1123,8 +994,7 @@ mod tests {
         assert!(visited > 0);
         let scratch = net.take_scratch();
         // Successor network inherits buffers and counters.
-        let mut small =
-            AllocationNetwork::new_with_scratch(&[vec![4.0]], &[4.0], FlowBackend::Dinic, scratch);
+        let mut small = AllocationNetwork::new_with_scratch(&[vec![4.0]], &[4.0], scratch);
         small.set_job_cap(0, 4.0);
         small.run_max_flow();
         assert!(small.scratch().edges_visited() > visited);

@@ -14,12 +14,11 @@
 //! * [`FlowNetwork`] — a residual-graph representation generic over the
 //!   [`Scalar`](amf_numeric::Scalar) numeric type (exact or `f64`);
 //! * [`dinic::max_flow`] — Dinic's algorithm (strongly polynomial, supports
-//!   warm starts from an existing feasible flow);
+//!   warm starts from an existing feasible flow), the one production
+//!   kernel;
 //! * [`push_relabel::max_flow`] — FIFO push–relabel with the gap
-//!   heuristic, cross-checked against Dinic in tests and selectable as a
-//!   production backend;
-//! * [`FlowBackend`] — which kernel an allocation network runs (`Dinic`,
-//!   `PushRelabel`, or density-based `Auto`);
+//!   heuristic, kept only as an independent oracle the tests compare
+//!   Dinic against;
 //! * [`FlowScratch`] — a reusable arena for the kernels' per-node working
 //!   state (including the cached CSR adjacency view and the [`BitSet`]
 //!   frontiers), making repeated max flows allocation-free;
@@ -47,7 +46,7 @@ mod graph;
 pub mod push_relabel;
 mod scratch;
 
-pub use bipartite::{AllocationNetwork, FlowBackend};
+pub use bipartite::AllocationNetwork;
 pub use bitset::BitSet;
 pub use graph::{EdgeId, FlowNetwork, NodeId};
 pub use scratch::FlowScratch;

@@ -1,11 +1,11 @@
 //! FIFO push–relabel max-flow with the gap heuristic.
 //!
-//! Kept alongside Dinic for three reasons: (a) tests cross-check the two
-//! implementations against each other on random networks, which catches
-//! bugs neither test suite would alone; (b) it is a selectable
-//! [`FlowBackend`](crate::FlowBackend) on the allocation network —
-//! push–relabel tends to win on dense bipartite graphs, Dinic on sparse
-//! ones; (c) the ablation benches compare their cost profiles.
+//! Not a production kernel: the allocation network always runs Dinic
+//! ([`dinic`](crate::dinic)). Push–relabel stays as an independent oracle —
+//! it shares no traversal logic with Dinic, so the property tests that
+//! compare the two max-flow values catch bugs neither suite would alone.
+//! It therefore owns its working buffers instead of borrowing a
+//! [`FlowScratch`](crate::FlowScratch).
 //!
 //! The gap heuristic tracks how many nodes sit at each height below `n`;
 //! when a height empties, every node stranded above the gap (and below `n`)
@@ -13,60 +13,30 @@
 //! its excess drains back to the source without climbing one relabel at a
 //! time.
 //!
-//! Like Dinic, the kernel traverses the CSR adjacency view cached in the
-//! scratch and keeps FIFO membership in a word-packed
-//! [`BitSet`](crate::BitSet). The returned value is the excess accumulated
-//! at the sink — already tracked by the algorithm, so no O(E) outflow scan
-//! at the end.
-//!
-//! Note: push–relabel computes the max flow **from scratch** — it does not
-//! support warm starts. Any pre-existing flow is cleared on entry; the
-//! [`Auto`](crate::FlowBackend::Auto) backend therefore routes warm-started
-//! re-checks to Dinic.
+//! The kernel computes the max flow **from scratch**: any pre-existing
+//! flow is cleared on entry. The returned value is the excess accumulated
+//! at the sink.
 
 use crate::bitset::BitSet;
 use crate::graph::{Csr, FlowNetwork, NodeId};
-use crate::scratch::FlowScratch;
 use amf_numeric::{min2, Scalar};
+use std::collections::VecDeque;
 
 /// Compute a maximum flow from `source` to `sink` with FIFO push–relabel.
 /// Any pre-existing flow is cleared. Returns the max-flow value.
-///
-/// Allocates a fresh [`FlowScratch`] per call; hot paths should hold one
-/// and call [`max_flow_with`].
 pub fn max_flow<S: Scalar>(net: &mut FlowNetwork<S>, source: NodeId, sink: NodeId) -> S {
-    let mut scratch = FlowScratch::new();
-    max_flow_with(net, source, sink, &mut scratch)
-}
-
-/// [`max_flow`] with caller-provided working memory: zero allocations once
-/// `scratch` has grown to the network size.
-pub fn max_flow_with<S: Scalar>(
-    net: &mut FlowNetwork<S>,
-    source: NodeId,
-    sink: NodeId,
-    scratch: &mut FlowScratch<S>,
-) -> S {
     assert!(source != sink, "max_flow: source == sink");
     net.reset_flow();
     let n = net.node_count();
-    scratch.ensure_nodes(n);
-    net.ensure_csr(&mut scratch.csr);
-    let FlowScratch {
-        csr,
-        fifo,
-        height,
-        excess,
-        in_queue,
-        gap,
-        edges_visited,
-        ..
-    } = scratch;
-    height.iter_mut().for_each(|h| *h = 0);
-    excess.iter_mut().for_each(|x| *x = S::ZERO);
+    let mut csr = Csr::default();
+    net.ensure_csr(&mut csr);
+    let mut fifo = VecDeque::new();
+    let mut height = vec![0u32; n];
+    let mut excess = vec![S::ZERO; n];
+    let mut in_queue = BitSet::new();
     in_queue.reset(n);
-    gap.iter_mut().for_each(|g| *g = 0);
-    fifo.clear();
+    // Heights range over `0..=2n + 1`.
+    let mut gap = vec![0u32; 2 * n + 2];
 
     height[source as usize] = n as u32;
     // Gap counts cover every node except the source (pinned at `n`); the
@@ -78,7 +48,6 @@ pub fn max_flow_with<S: Scalar>(
     let (src_lo, src_hi) = csr.range(source as usize);
     for i in src_lo..src_hi {
         let e = csr.targets[i];
-        *edges_visited += 1;
         let res = net.residual(e);
         if res.is_positive() {
             let to = net.head(e);
@@ -98,13 +67,12 @@ pub fn max_flow_with<S: Scalar>(
             v,
             sink,
             source,
-            csr,
-            height,
-            excess,
-            fifo,
-            in_queue,
-            gap,
-            edges_visited,
+            &csr,
+            &mut height,
+            &mut excess,
+            &mut fifo,
+            &mut in_queue,
+            &mut gap,
         );
     }
 
@@ -124,7 +92,6 @@ fn discharge<S: Scalar>(
     fifo: &mut std::collections::VecDeque<NodeId>,
     in_queue: &mut BitSet,
     gap: &mut [u32],
-    edges_visited: &mut u64,
 ) {
     let n = net.node_count();
     let v = v as usize;
@@ -136,7 +103,6 @@ fn discharge<S: Scalar>(
                 break;
             }
             let e = csr.targets[i];
-            *edges_visited += 1;
             let to = net.head(e) as usize;
             let res = net.residual(e);
             if res.is_positive() && height[v] == height[to] + 1 {
@@ -159,7 +125,6 @@ fn discharge<S: Scalar>(
             // Relabel: one above the lowest admissible neighbour.
             let mut min_h = u32::MAX;
             for &e in &csr.targets[lo..hi] {
-                *edges_visited += 1;
                 if net.residual(e).is_positive() {
                     min_h = min_h.min(height[net.head(e) as usize]);
                 }
@@ -224,7 +189,6 @@ mod tests {
     #[test]
     fn agrees_with_dinic_on_random_bipartite_graphs() {
         let mut rng = StdRng::seed_from_u64(42);
-        let mut scratch: FlowScratch<f64> = FlowScratch::new();
         for _ in 0..50 {
             let jobs = rng.gen_range(1..8usize);
             let sites = rng.gen_range(1..6usize);
@@ -248,11 +212,9 @@ mod tests {
             }
             let mut g2 = g1.clone();
             let f1 = dinic::max_flow(&mut g1, s, t);
-            // Shared scratch across all iterations exercises buffer reuse.
-            let f2 = max_flow_with(&mut g2, s, t, &mut scratch);
+            let f2 = max_flow(&mut g2, s, t);
             assert!((f1 - f2).abs() < 1e-9, "dinic={f1} pr={f2}");
         }
-        assert!(scratch.reuse_hits() > 0);
     }
 
     #[test]

@@ -32,7 +32,7 @@
 
 use amf_core::levels::LevelCap;
 use amf_core::water_fill_weighted_into;
-use amf_flow::{AllocationNetwork, FlowBackend, FlowScratch};
+use amf_flow::{AllocationNetwork, FlowScratch};
 use amf_numeric::Scalar;
 
 /// How the engine splits aggregate allocations across sites.
@@ -154,19 +154,24 @@ impl SplitWorkspace {
         // Step 3: augment to restore the aggregates exactly. The network
         // has an edge only for demands that are positive beyond its
         // tolerance; the other cells carry at most that much and are not
-        // preloaded, as in `preload_split`.
+        // preloaded, as in `preload_split`. A job whose flows overshoot
+        // its aggregate is scaled back to it first.
         self.edge_flows.clear();
-        self.edge_flows.extend(
-            self.x
-                .iter()
-                .zip(&self.demand)
-                .filter(|(_, &d)| Scalar::is_positive(d))
-                .map(|(&x, _)| x),
-        );
+        for (j, &a) in aggregates.iter().enumerate() {
+            let start = self.edge_flows.len();
+            let cells = self.row_start[j]..self.row_start[j + 1];
+            self.edge_flows.extend(
+                self.x[cells.clone()]
+                    .iter()
+                    .zip(&self.demand[cells])
+                    .filter(|(_, &d)| Scalar::is_positive(d))
+                    .map(|(&x, _)| x),
+            );
+            cap_job_preload(&mut self.edge_flows[start..], a);
+        }
         let mut net = AllocationNetwork::new_with_scratch(
             demands,
             capacities,
-            FlowBackend::default(),
             std::mem::take(&mut self.scratch),
         );
         for (j, &a) in aggregates.iter().enumerate() {
@@ -282,6 +287,34 @@ impl SplitWorkspace {
                 _ => 0.0,
             };
             self.x[c] += extra;
+        }
+    }
+}
+
+/// Scale one job's preload flows down to its aggregate `a` when they sum
+/// past it beyond the flow network's tolerance.
+///
+/// A water-fill can land past its amount by about that tolerance: its
+/// uncontended shortcut fills caps that exceed the amount by up to 1e-9,
+/// and a contended fill whose finished portions carry tiny weights puts
+/// the level far out, where its rounding shows. The ideal fill and the
+/// repair re-fills can each overshoot the same job, and the preload would
+/// then exceed the job's source cap. The sum is taken the way
+/// [`AllocationNetwork::preload_edge_flows`] takes it (flows positive
+/// beyond tolerance, in edge order), so a job within tolerance keeps its
+/// flows bit for bit. Scaling only lowers flows, so demand and site
+/// capacities stay respected.
+fn cap_job_preload(flows: &mut [f64], a: f64) {
+    let mut total = 0.0;
+    for &v in flows.iter() {
+        if Scalar::is_positive(v) {
+            total += v;
+        }
+    }
+    if Scalar::definitely_gt(total, a) {
+        let scale = a / total;
+        for v in flows {
+            *v *= scale;
         }
     }
 }
