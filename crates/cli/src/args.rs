@@ -662,6 +662,18 @@ mod tests {
     }
 
     #[test]
+    fn solve_rejects_removed_solver_flags() {
+        // The solver has no tuning flags any more: a script still passing
+        // one fails instead of silently getting the default solver.
+        rejected(&["solve", "--backend", "push-relabel"], "--backend");
+        rejected(&["solve", "--no-contraction"], "--no-contraction");
+        rejected(
+            &["solve", "--policy", "amf", "--no-contraction", "--explain"],
+            "--no-contraction",
+        );
+    }
+
+    #[test]
     fn simulate_rejects_unknown_flags() {
         rejected(&["simulate", "--jct-adon"], "--jct-adon");
         rejected(&["simulate", "--engine", "slots", "-v"], "-v");

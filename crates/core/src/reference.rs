@@ -212,6 +212,91 @@ mod tests {
     }
 
     #[test]
+    fn round_log_matches_hand_computed_example() {
+        // c = (2, 10); jobs 0 and 3 share site 0, jobs 1 and 2 site 1.
+        // Level 1: site 0 is full — job 3 also meets its demand there, so
+        // it is demand-capped and job 0 bottlenecked. Levels only come from
+        // tight sets, so job 1 (demand 3) freezes with the next one, at
+        // level 7, where site 1 fills: demand-capped first, job 2
+        // bottlenecked.
+        let inst = Instance::new(
+            vec![ri(2), ri(10)],
+            vec![
+                vec![ri(5), ri(0)],
+                vec![ri(0), ri(3)],
+                vec![ri(0), ri(20)],
+                vec![ri(1), ri(0)],
+            ],
+        )
+        .unwrap();
+        let reference = reference_solve(&inst, FairnessMode::Plain);
+        assert_eq!(reference.aggregates, vec![ri(1), ri(3), ri(7), ri(1)]);
+        let want = vec![
+            FreezeRound {
+                level: ri(1),
+                frozen: vec![
+                    (0, FreezeReason::Bottlenecked),
+                    (3, FreezeReason::DemandCapped),
+                ],
+            },
+            FreezeRound {
+                level: ri(7),
+                frozen: vec![
+                    (1, FreezeReason::DemandCapped),
+                    (2, FreezeReason::Bottlenecked),
+                ],
+            },
+        ];
+        assert_eq!(reference.rounds, want);
+        assert_eq!(AmfSolver::new().solve(&inst).rounds, want);
+    }
+
+    #[test]
+    fn round_log_explains_the_aggregates() {
+        // Unweighted plain AMF: every job with demand freezes exactly once
+        // (a job without demand is settled at zero before the first round),
+        // levels never fall, a demand-capped job gets its total demand and a
+        // bottlenecked one the level of its round.
+        let mut rng = StdRng::seed_from_u64(41);
+        for trial in 0..60 {
+            let n = rng.gen_range(1..7usize);
+            let m = rng.gen_range(1..4usize);
+            let capacities: Vec<Rational> = (0..m).map(|_| ri(rng.gen_range(0..12))).collect();
+            let demands: Vec<Vec<Rational>> = (0..n)
+                .map(|_| (0..m).map(|_| ri(rng.gen_range(0..10))).collect())
+                .collect();
+            let inst = Instance::new(capacities, demands).unwrap();
+            let reference = reference_solve(&inst, FairnessMode::Plain);
+            let mut frozen_in = vec![None; n];
+            for (k, round) in reference.rounds.iter().enumerate() {
+                assert!(!round.frozen.is_empty(), "trial {trial}: empty round {k}");
+                for &(j, reason) in &round.frozen {
+                    assert!(
+                        frozen_in[j].is_none(),
+                        "trial {trial}: job {j} frozen twice"
+                    );
+                    frozen_in[j] = Some(k);
+                    let want = match reason {
+                        FreezeReason::DemandCapped => inst.total_demand(j),
+                        FreezeReason::Bottlenecked => round.level,
+                    };
+                    assert_eq!(reference.aggregates[j], want, "trial {trial} job {j}");
+                }
+            }
+            for (j, k) in frozen_in.iter().enumerate() {
+                assert_eq!(
+                    k.is_some(),
+                    inst.total_demand(j).is_positive(),
+                    "trial {trial} job {j}"
+                );
+            }
+            for w in reference.rounds.windows(2) {
+                assert!(w[0].level <= w[1].level, "trial {trial}: level fell");
+            }
+        }
+    }
+
+    #[test]
     fn agrees_with_flow_solver_on_random_exact_instances() {
         let mut rng = StdRng::seed_from_u64(2024);
         for trial in 0..60 {

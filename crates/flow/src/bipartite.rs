@@ -831,6 +831,45 @@ mod tests {
         assert!((net.site_residual(0) - 3.0).abs() < 1e-12);
     }
 
+    #[test]
+    fn backends_agree_on_allocation_networks() {
+        // Dinic, cold and warm-started from a preloaded split, against the
+        // push–relabel oracle run on a copy of the same graph.
+        use crate::push_relabel;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        for _ in 0..40 {
+            let n = rng.gen_range(1..9usize);
+            let m = rng.gen_range(1..6usize);
+            let demands: Vec<Vec<f64>> = (0..n)
+                .map(|_| (0..m).map(|_| rng.gen_range(0..8) as f64).collect())
+                .collect();
+            let caps: Vec<f64> = (0..m).map(|_| rng.gen_range(0..20) as f64).collect();
+            let caps_per_job: Vec<f64> =
+                (0..n).map(|_| rng.gen_range(0..10) as f64 + 0.5).collect();
+            let mut net = AllocationNetwork::new(&demands, &caps);
+            for (j, &c) in caps_per_job.iter().enumerate() {
+                net.set_job_cap(j, c);
+            }
+            let mut oracle = net.network().clone();
+            let want = push_relabel::max_flow(&mut oracle, net.source, net.sink);
+            let cold = net.run_max_flow();
+            assert!((cold - want).abs() < 1e-9, "cold Dinic {cold} vs {want}");
+            // Half of a max flow is feasible; augmenting on top of it must
+            // reach the same value.
+            let half: Vec<Vec<f64>> = net
+                .split_matrix()
+                .iter()
+                .map(|row| row.iter().map(|x| x / 2.0).collect())
+                .collect();
+            net.reset_flow();
+            net.preload_split(&half);
+            let warm = net.run_max_flow();
+            assert!((warm - want).abs() < 1e-9, "warm Dinic {warm} vs {want}");
+        }
+    }
+
     /// Conservation at every non-terminal node (drain repair must keep it).
     fn assert_conserved(net: &AllocationNetwork<f64>) {
         for v in 2..net.network().node_count() {
