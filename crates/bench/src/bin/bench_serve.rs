@@ -2,7 +2,7 @@
 //!
 //! Boots in-process servers on ephemeral ports and drives them over real
 //! TCP through the blocking [`ServeClient`], then writes a
-//! machine-readable report (schema `amf-bench-serve/v1`) with three arms:
+//! machine-readable report (schema `amf-bench-serve/v2`) with two arms:
 //!
 //! * `closed_loop` — one tenant, one connection, requests issued
 //!   back-to-back (next request after the previous reply): the intrinsic
@@ -10,10 +10,7 @@
 //! * `open_loop` — several client threads, each owning its tenants and
 //!   firing requests on a seeded Poisson schedule; latency is measured
 //!   from the *scheduled* arrival instant, so queueing delay under load is
-//!   visible (no coordinated omission);
-//! * `coalescing` — the same burst script against a coalescing server and
-//!   an eager (`coalesce = false`) server, comparing solves-per-request:
-//!   staging merges each burst into one repair pass at `Solve`.
+//!   visible (no coordinated omission).
 //!
 //! Every arm audits a sampled fraction of `Solve` replies with
 //! `amf-audit` against a client-side mirror of the session (the thread
@@ -44,7 +41,6 @@ struct Report {
     hardware: Hardware,
     closed_loop: ArmReport,
     open_loop: ArmReport,
-    coalescing: CoalescingReport,
 }
 
 #[derive(Serialize)]
@@ -72,32 +68,11 @@ struct ArmReport {
     audit_violations: u64,
 }
 
-#[derive(Serialize)]
-struct CoalescingReport {
-    rounds: usize,
-    burst: usize,
-    eager: CoalesceArm,
-    coalesced: CoalesceArm,
-    /// `eager.solves / coalesced.solves` — how much solver work staging
-    /// removes for the identical request stream.
-    solve_reduction_factor: f64,
-}
-
-#[derive(Serialize)]
-struct CoalesceArm {
-    name: &'static str,
-    apply_requests: u64,
-    solves: u64,
-    solves_per_request: f64,
-    deltas_coalesced: u64,
-    p95_us: f64,
-}
-
 /// Client-side mirror of one tenant's session, built purely from the
 /// deltas the owning thread sent. Kept as per-job state keyed by id (not
 /// a shadow `IncrementalAmf`) because the server's row order is its slot
-/// order, which depends on delta *application* order — coalescing merges
-/// bursts, so the audit must align rows by the reply's own `job_ids`.
+/// order, which depends on how freed slots were reused, so the audit
+/// aligns rows by the reply's own `job_ids`.
 struct TenantMirror {
     tenant: String,
     caps: Vec<f64>,
@@ -459,69 +434,6 @@ fn open_loop(
     }
 }
 
-/// Run the coalescing burst script against one server configuration:
-/// `rounds` rounds of `burst` single-delta `ApplyDeltas` requests
-/// hammering a small key set, then one `Solve`. Returns the arm record.
-fn coalesce_arm(
-    name: &'static str,
-    coalesce: bool,
-    seed: u64,
-    rounds: usize,
-    burst: usize,
-) -> CoalesceArm {
-    let server = Server::<f64>::bind(ServeConfig {
-        coalesce,
-        ..ServeConfig::default()
-    })
-    .expect("bind");
-    let mut client = ServeClient::connect(server.addr()).expect("connect");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut mirror = seed_tenant(&mut client, &mut rng, "bursty", &CAPS, 4);
-
-    let mut hist = latency_hist();
-    let mut violations = 0;
-    for _ in 0..rounds {
-        // Hammer one job's demands so last-writer-wins has work to do.
-        let id = mirror.live[rng.gen_range(0..mirror.live.len())];
-        for _ in 0..burst {
-            let d = WireDelta::DemandChange {
-                id,
-                site: rng.gen_range(0..CAPS.len()),
-                demand: rng.gen_range(0.5..4.0),
-            };
-            mirror.apply(&d);
-            let t0 = Instant::now();
-            client
-                .apply_deltas(&mirror.tenant, std::slice::from_ref(&d))
-                .expect("apply");
-            hist.add(t0.elapsed().as_secs_f64() * 1e6);
-        }
-        let reply = client.solve(&mirror.tenant).expect("solve");
-        mirror.solves_seen += 1;
-        violations += mirror.audit_reply(&reply);
-    }
-    assert_eq!(violations, 0, "{name}: audit violations in coalescing arm");
-    client.shutdown().expect("shutdown");
-    let summary = server.join();
-
-    let apply_requests = (rounds * burst) as u64;
-    println!(
-        "coalescing/{name}: {apply_requests} apply requests -> {} solves \
-         ({:.3} solves/request, {} deltas coalesced)",
-        summary.solves,
-        summary.solves as f64 / apply_requests as f64,
-        summary.deltas_coalesced,
-    );
-    CoalesceArm {
-        name,
-        apply_requests,
-        solves: summary.solves,
-        solves_per_request: summary.solves as f64 / apply_requests as f64,
-        deltas_coalesced: summary.deltas_coalesced,
-        p95_us: hist.percentile(95.0),
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -534,10 +446,10 @@ fn main() {
     let out = flag("--out").unwrap_or_else(|| "BENCH_serve.json".to_string());
 
     // Arm sizes: seconds in full mode, near-instant in --smoke.
-    let (cl_iters, ol_threads, ol_tenants, ol_per_thread, ol_rate, rounds, burst) = if smoke {
-        (40, 2, 1, 40, 200.0, 4, 4)
+    let (cl_iters, ol_threads, ol_tenants, ol_per_thread, ol_rate) = if smoke {
+        (40, 2, 1, 40, 200.0)
     } else {
-        (2400, 4, 2, 700, 300.0, 30, 8)
+        (2400, 4, 2, 700, 300.0)
     };
 
     let closed = closed_loop(seed, cl_iters);
@@ -548,23 +460,15 @@ fn main() {
         ol_per_thread,
         ol_rate,
     );
-    let eager = coalesce_arm("eager", false, seed.wrapping_add(2), rounds, burst);
-    let coalesced = coalesce_arm("coalesced", true, seed.wrapping_add(2), rounds, burst);
 
     let total_violations = closed.audit_violations + open.audit_violations;
     assert!(
         closed.audited_solves > 0 && open.audited_solves > 0,
         "load generator audited no solves — sampling misconfigured"
     );
-    assert!(
-        coalesced.solves < eager.solves,
-        "coalescing did not reduce solver work ({} vs {})",
-        coalesced.solves,
-        eager.solves
-    );
 
     let report = Report {
-        schema: "amf-bench-serve/v1",
+        schema: "amf-bench-serve/v2",
         smoke,
         seed,
         hardware: Hardware {
@@ -577,13 +481,6 @@ fn main() {
         },
         closed_loop: closed,
         open_loop: open,
-        coalescing: CoalescingReport {
-            rounds,
-            burst,
-            solve_reduction_factor: eager.solves as f64 / coalesced.solves as f64,
-            eager,
-            coalesced,
-        },
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write(&out, json + "\n").expect("write report");

@@ -22,8 +22,9 @@ USAGE:
                  #             \"jobs\": [{\"demand\": [1, 4],
                  #                       \"max_tasks\": null, \"weight\": 1.0}]}
     amf serve    [--addr H:P] [--workers N] [--shards K] [--queue-cap Q]
-                 [--no-coalesce] [--scalar f64|rational] [--port-file PATH]
-                 # multi-tenant allocation server; blocks until a client
+                 [--scalar f64|rational] [--port-file PATH]
+                 # multi-tenant allocation server; applies deltas as they
+                 # arrive and solves on `solve`; blocks until a client
                  # sends Shutdown, then prints the drain summary
     amf client --addr H:P <action>              # one request per invocation
                  # actions: create --tenant T --capacities 4,2.5 [--mode M]
@@ -110,8 +111,6 @@ pub struct ServeParams {
     pub shards: Option<usize>,
     /// Admission-queue capacity per shard (None = server default).
     pub queue_cap: Option<usize>,
-    /// Delta coalescing (disabled by `--no-coalesce`).
-    pub coalesce: bool,
     /// Session scalar: "f64" (default) or "rational".
     pub scalar: String,
     /// Write the bound address to this file once listening (for scripts
@@ -379,7 +378,7 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                     "--scalar",
                     "--port-file",
                 ],
-                &["--no-coalesce"],
+                &[],
                 0,
             )?;
             let scalar = value_of(rest, "--scalar")?.unwrap_or_else(|| "f64".into());
@@ -402,7 +401,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                     Some(v) => Some(parse_num(&v, "--queue-cap")?),
                     None => None,
                 },
-                coalesce: !rest.iter().any(|a| a == "--no-coalesce"),
                 scalar,
                 port_file: value_of(rest, "--port-file")?,
             }))
@@ -715,7 +713,6 @@ mod tests {
                 workers: None,
                 shards: None,
                 queue_cap: None,
-                coalesce: true,
                 scalar: "f64".into(),
                 port_file: None,
             })
@@ -731,7 +728,6 @@ mod tests {
                 "2",
                 "--queue-cap",
                 "64",
-                "--no-coalesce",
                 "--scalar",
                 "rational",
                 "--port-file",
@@ -743,13 +739,19 @@ mod tests {
                 workers: Some(4),
                 shards: Some(2),
                 queue_cap: Some(64),
-                coalesce: false,
                 scalar: "rational".into(),
                 port_file: Some("/tmp/p".into()),
             })
         );
         assert!(parse(&sv(&["serve", "--scalar", "decimal"])).is_err());
         assert!(parse(&sv(&["serve", "--workers", "many"])).is_err());
+    }
+
+    #[test]
+    fn serve_has_no_coalesce_switch() {
+        // The server has one delta path (apply now, solve on request), so
+        // it takes no switch for an eager-solve mode.
+        rejected(&["serve", "--no-coalesce"], "--no-coalesce");
     }
 
     #[test]

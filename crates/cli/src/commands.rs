@@ -358,8 +358,8 @@ fn serve_with<S: amf_serve::WireScalar>(
     let mut out = String::new();
     out.push_str(&format!("served {} request(s)\n", summary.requests));
     out.push_str(&format!(
-        "sessions = {}, solves = {}, deltas applied/coalesced = {}/{}\n",
-        summary.sessions, summary.solves, summary.deltas_applied, summary.deltas_coalesced
+        "sessions = {}, solves = {}, deltas applied = {}\n",
+        summary.sessions, summary.solves, summary.deltas_applied
     ));
     out.push_str(&format!(
         "refused: overloaded = {}, protocol errors = {}\n",
@@ -379,7 +379,6 @@ fn serve_with<S: amf_serve::WireScalar>(
 pub fn serve_cmd(p: &crate::args::ServeParams) -> Result<String, String> {
     let mut cfg = amf_serve::ServeConfig {
         addr: p.addr.clone(),
-        coalesce: p.coalesce,
         ..amf_serve::ServeConfig::default()
     };
     if p.workers.is_some() {
@@ -473,11 +472,8 @@ pub fn client_cmd(p: &crate::args::ClientParams) -> Result<String, String> {
                 stats.sessions, stats.queued, stats.requests, stats.solves
             ));
             out.push_str(&format!(
-                "deltas applied/coalesced = {}/{}, overloaded = {}, protocol errors = {}\n",
-                stats.deltas_applied,
-                stats.deltas_coalesced,
-                stats.overloaded,
-                stats.protocol_errors
+                "deltas applied = {}, overloaded = {}, protocol errors = {}\n",
+                stats.deltas_applied, stats.overloaded, stats.protocol_errors
             ));
             for op in &stats.ops {
                 out.push_str(&format!(

@@ -230,7 +230,8 @@ pub struct IncrementalAmf<S> {
     net: AllocationNetwork<S>,
     round_log: Vec<CachedRound<S>>,
     output: SolveOutput<S>,
-    dirty: bool,
+    /// Deltas accepted since the last [`solve`](Self::solve).
+    pending: usize,
     cumulative: SolveStats,
     /// Pool for the delegated suffix solves (Plain mode hands the
     /// invalidated suffix to the from-scratch shrinking-network solver).
@@ -268,7 +269,7 @@ impl<S: Scalar> IncrementalAmf<S> {
                 rounds: Vec::new(),
                 stats: SolveStats::default(),
             },
-            dirty: true,
+            pending: 0,
             cumulative: SolveStats::default(),
             pool: SolverPool::new(),
             grow_jobs: Vec::new(),
@@ -301,7 +302,14 @@ impl<S: Scalar> IncrementalAmf<S> {
 
     /// Whether deltas have arrived since the last [`solve`](Self::solve).
     pub fn is_dirty(&self) -> bool {
-        self.dirty
+        self.pending > 0
+    }
+
+    /// Deltas accepted since the last [`solve`](Self::solve) (rejected
+    /// deltas are not counted; a fresh session starts at 0 with the empty
+    /// instance's output already current).
+    pub fn pending(&self) -> usize {
+        self.pending
     }
 
     /// Live job ids in the dense order used by [`solve`](Self::solve)'s
@@ -410,7 +418,7 @@ impl<S: Scalar> IncrementalAmf<S> {
                 self.capacities[site] = capacity;
             }
         }
-        self.dirty = true;
+        self.pending += 1;
         Ok(())
     }
 
@@ -432,9 +440,9 @@ impl<S: Scalar> IncrementalAmf<S> {
     /// (and job indices inside `rounds`) are in [`job_ids`](Self::job_ids)
     /// order.
     pub fn solve(&mut self) -> &SolveOutput<S> {
-        if self.dirty {
+        if self.pending > 0 {
             self.resolve();
-            self.dirty = false;
+            self.pending = 0;
         }
         &self.output
     }
@@ -929,6 +937,37 @@ mod tests {
         assert_eq!(session.n_jobs(), 1);
         let agg = assert_matches_scratch(&mut session);
         assert!((agg[0] - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn pending_counts_accepted_deltas_until_solve() {
+        let mut session = IncrementalAmf::new(AmfSolver::new(), vec![4.0, 2.0]).unwrap();
+        assert_eq!(session.pending(), 0);
+        assert!(!session.is_dirty());
+        session.apply(add(0, vec![1.0, 1.0])).unwrap();
+        session.apply(add(1, vec![2.0, 0.5])).unwrap();
+        assert_eq!(session.pending(), 2);
+        // A rejected delta leaves the count where it was.
+        assert_eq!(
+            session.apply(add(1, vec![1.0, 1.0])),
+            Err(DeltaError::DuplicateJob { id: JobId(1) })
+        );
+        assert_eq!(session.pending(), 2);
+        session
+            .apply(Delta::DemandChange {
+                id: JobId(0),
+                site: 1,
+                demand: 3.0,
+            })
+            .unwrap();
+        assert_eq!(session.pending(), 3);
+        assert!(session.is_dirty());
+        session.solve();
+        assert_eq!(session.pending(), 0);
+        assert!(!session.is_dirty());
+        // A solve with nothing pending keeps the count at 0.
+        session.solve();
+        assert_eq!(session.pending(), 0);
     }
 
     #[test]

@@ -78,7 +78,8 @@ impl From<io::Error> for ClientError {
 /// A solved allocation in client-side form.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveReply {
-    /// Live job ids, ascending; rows of `split` are in this order.
+    /// Job ids of the solve, in the session's row order; rows of
+    /// `aggregates` and `split` are in this order.
     pub job_ids: Vec<u64>,
     /// Per-job aggregate allocations.
     pub aggregates: Vec<f64>,
@@ -161,8 +162,8 @@ impl ServeClient {
         )
     }
 
-    /// Stage (or, on a non-coalescing server, apply) deltas. Returns
-    /// `(accepted, pending)`.
+    /// Apply deltas to the tenant's session (the server solves at the next
+    /// `Solve`). Returns `(accepted, pending)`.
     pub fn apply_deltas(
         &mut self,
         tenant: &str,
@@ -180,7 +181,7 @@ impl ServeClient {
         )
     }
 
-    /// Apply pending deltas and solve.
+    /// Solve for the deltas applied since the last solve.
     pub fn solve(&mut self, tenant: &str) -> Result<SolveReply, ClientError> {
         self.expect(
             &Request::Solve {

@@ -14,10 +14,9 @@
 //! * **protocol** ([`protocol`]) — typed requests/responses
 //!   (`CreateSession`, `ApplyDeltas`, `Solve`, `GetAllocation`, `Stats`,
 //!   `Shutdown`) with typed error replies;
-//! * **coalescing** ([`coalesce`]) — deltas staged between solves merge
-//!   (last-writer-wins, add/remove cancellation) so one solve absorbs an
-//!   entire burst;
-//! * **server** ([`server`]) — sharded session table, bounded admission
+//! * **server** ([`server`]) — sharded session table, lazy solving
+//!   (`ApplyDeltas` applies to the session, the next `Solve` absorbs every
+//!   delta since the last one in one pass), bounded admission
 //!   queues with typed `Overloaded` rejection, a worker pool sized from
 //!   [`std::thread::available_parallelism`], graceful drain-on-shutdown,
 //!   and per-operation latency histograms from `amf-metrics`;
@@ -34,13 +33,11 @@
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
 pub mod client;
-pub mod coalesce;
 pub mod frame;
 pub mod protocol;
 pub mod server;
 
 pub use client::{ClientError, ServeClient, SolveReply};
-pub use coalesce::DeltaBatch;
 pub use frame::{read_frame, write_frame, FrameError, DEFAULT_MAX_FRAME};
 pub use protocol::{
     decode_request, decode_response, encode, ErrorKind, OpStats, ProtocolError, Request, Response,

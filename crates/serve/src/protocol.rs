@@ -26,19 +26,22 @@ pub enum Request {
         /// Fairness mode: `"plain"` or `"enhanced"` (default).
         mode: Option<String>,
     },
-    /// Stage a batch of deltas against `tenant`'s session.
+    /// Apply a batch of deltas to `tenant`'s session, without solving.
     ApplyDeltas {
         /// Target tenant.
         tenant: String,
-        /// Deltas, validated in order; processing stops at the first bad one.
+        /// Deltas, validated and applied in order; processing stops at the
+        /// first bad one, and the deltas before it stay applied.
         deltas: Vec<WireDelta>,
     },
-    /// Apply any pending (coalesced) deltas and return the allocation.
+    /// Solve once for every delta applied since the last solve (a cached
+    /// reply if there are none) and return the allocation.
     Solve {
         /// Target tenant.
         tenant: String,
     },
-    /// Return the last solved allocation without re-solving.
+    /// Return the last solved allocation, with that solve's job ids,
+    /// without re-solving (deltas applied since are not reflected).
     GetAllocation {
         /// Target tenant.
         tenant: String,
@@ -128,16 +131,18 @@ pub enum Response {
         /// Number of sites in the session instance.
         sites: usize,
     },
-    /// Deltas accepted (staged or applied, depending on coalescing mode).
+    /// Deltas accepted and applied to the session.
     Applied {
         /// How many deltas of the request were accepted.
         accepted: usize,
-        /// Deltas currently staged for the tenant (0 when not coalescing).
+        /// Deltas applied to the tenant's session since its last solve.
         pending: usize,
     },
-    /// The allocation after applying pending deltas and solving.
+    /// An allocation: freshly solved (`Solve`) or the last solve's
+    /// (`GetAllocation`, or `Solve` with nothing pending).
     Solved {
-        /// Live job ids, ascending; rows of `split` are in this order.
+        /// Job ids of the solve, in the session's row order; rows of
+        /// `aggregates` and `split` are in this order.
         job_ids: Vec<u64>,
         /// Per-job aggregate allocations (same order as `job_ids`).
         aggregates: Vec<f64>,
@@ -190,11 +195,12 @@ pub struct WireStats {
     pub queued: usize,
     /// Total requests handled (all operations, including failed ones).
     pub requests: u64,
-    /// Full solver passes executed (the coalescing win shows up here).
+    /// Full solver passes executed (one per `Solve` with deltas pending).
     pub solves: u64,
     /// Deltas accepted into sessions (after validation).
     pub deltas_applied: u64,
-    /// Deltas eliminated by coalescing before reaching the solver.
+    /// Always 0: kept so existing readers of the frame still decode it.
+    /// Deltas are applied to the session as they arrive, never merged.
     pub deltas_coalesced: u64,
     /// Requests refused because an admission queue was full.
     pub overloaded: u64,

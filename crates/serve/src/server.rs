@@ -17,11 +17,13 @@
 //!   with its own session map and bounded admission queue; a full queue
 //!   refuses with a typed `Overloaded` reply instead of blocking, so
 //!   backpressure is visible to clients rather than silent.
-//! * **Coalescing** — with [`ServeConfig::coalesce`] on, `ApplyDeltas`
-//!   stages deltas in a per-tenant [`DeltaBatch`]; the next `Solve` applies
-//!   the merged batch as one repair/replay pass. Off, every `ApplyDeltas`
-//!   applies and re-solves immediately (the baseline the serve bench
-//!   compares against).
+//! * **Lazy solve** — `ApplyDeltas` applies each delta to the tenant's
+//!   [`IncrementalAmf`] session at once (validated before it mutates, so a
+//!   rejected delta changes nothing) and never solves; the next `Solve`
+//!   runs one repair/replay pass for every delta applied since the last
+//!   one. `GetAllocation` answers from the last solve, with the job ids
+//!   snapshotted at that solve, since the session's live ids may already
+//!   have moved on.
 //! * **Shutdown** — `Shutdown` flips a flag, wakes everything, and drains:
 //!   queued work completes and is answered, new work is refused with
 //!   `ShuttingDown`. With `workers = Some(0)` (a test mode: nothing drains
@@ -39,7 +41,6 @@ use amf_core::incremental::{Delta, DeltaError, IncrementalAmf, JobId};
 use amf_core::AmfSolver;
 use amf_metrics::Histogram;
 
-use crate::coalesce::DeltaBatch;
 use crate::frame::{read_frame, write_frame, FrameError, DEFAULT_MAX_FRAME};
 use crate::protocol::{
     decode_request, encode, ErrorKind, OpStats, Request, Response, WireDelta, WireStats,
@@ -61,8 +62,6 @@ pub struct ServeConfig {
     /// Admission-queue capacity per shard; a full queue refuses requests
     /// with a typed `Overloaded` error.
     pub queue_cap: usize,
-    /// Coalesce deltas staged between solves (see module docs).
-    pub coalesce: bool,
     /// Frame payload ceiling in bytes.
     pub max_frame: usize,
     /// Connection read timeout (poll interval for the shutdown flag).
@@ -76,7 +75,6 @@ impl Default for ServeConfig {
             workers: None,
             shards: 8,
             queue_cap: 256,
-            coalesce: true,
             max_frame: DEFAULT_MAX_FRAME,
             read_timeout: Duration::from_millis(50),
         }
@@ -87,10 +85,12 @@ impl Default for ServeConfig {
 /// to the `Stats` frame payload.
 pub type ServerSummary = WireStats;
 
-/// One tenant's state: the incremental session plus its staged deltas.
+/// One tenant's state: the incremental session plus the job ids of its
+/// last solve (row `k` of `session.last_output()` belongs to
+/// `solved_ids[k]`).
 struct Tenant<S> {
     session: IncrementalAmf<S>,
-    batch: DeltaBatch<S>,
+    solved_ids: Vec<u64>,
 }
 
 /// A queued unit of work plus the channel its reply goes back on.
@@ -108,7 +108,6 @@ struct Counters {
     requests: AtomicU64,
     solves: AtomicU64,
     deltas_applied: AtomicU64,
-    deltas_coalesced: AtomicU64,
     overloaded: AtomicU64,
     protocol_errors: AtomicU64,
 }
@@ -125,7 +124,6 @@ const OP_NAMES: [&str; 6] = [
 
 struct Shared<S> {
     queue_cap: usize,
-    coalesce: bool,
     max_frame: usize,
     read_timeout: Duration,
     addr: SocketAddr,
@@ -187,7 +185,9 @@ impl<S: WireScalar> Shared<S> {
             requests: self.counters.requests.load(Ordering::Relaxed),
             solves: self.counters.solves.load(Ordering::Relaxed),
             deltas_applied: self.counters.deltas_applied.load(Ordering::Relaxed),
-            deltas_coalesced: self.counters.deltas_coalesced.load(Ordering::Relaxed),
+            // Deltas are never merged; the field stays so existing readers
+            // of the frame still decode it.
+            deltas_coalesced: 0,
             overloaded: self.counters.overloaded.load(Ordering::Relaxed),
             protocol_errors: self.counters.protocol_errors.load(Ordering::Relaxed),
             csr_rebuilds,
@@ -259,10 +259,10 @@ fn to_delta<S: WireScalar>(w: &WireDelta) -> Result<Delta<S>, Response> {
     })
 }
 
-fn solved_response<S: WireScalar>(session: &IncrementalAmf<S>, resolved: bool) -> Response {
-    let out = session.last_output();
+fn solved_response<S: WireScalar>(tenant: &Tenant<S>, resolved: bool) -> Response {
+    let out = tenant.session.last_output();
     Response::Solved {
-        job_ids: session.job_ids().iter().map(|j| j.0).collect(),
+        job_ids: tenant.solved_ids.clone(),
         aggregates: out
             .allocation
             .aggregates()
@@ -293,7 +293,7 @@ fn process<S: WireScalar>(shared: &Shared<S>, work: Work) {
             Err(resp) => resp,
             Ok(t) => {
                 let t = t.lock().expect("tenant lock poisoned");
-                solved_response(&t.session, false)
+                solved_response(&t, false)
             }
         },
         // Stats/Shutdown are handled inline on connection threads.
@@ -370,7 +370,7 @@ fn handle_create<S: WireScalar>(
         tenant.to_string(),
         Arc::new(Mutex::new(Tenant {
             session,
-            batch: DeltaBatch::new(),
+            solved_ids: Vec::new(),
         })),
     );
     Response::Created {
@@ -391,21 +391,7 @@ fn handle_apply<S: WireScalar>(shared: &Shared<S>, tenant: &str, deltas: &[WireD
             Ok(d) => d,
             Err(resp) => return resp,
         };
-        let applied = if shared.coalesce {
-            let before = t.batch.coalesced();
-            let res = {
-                let Tenant { session, batch } = &mut *t;
-                batch.push(session, delta)
-            };
-            shared
-                .counters
-                .deltas_coalesced
-                .fetch_add(t.batch.coalesced() - before, Ordering::Relaxed);
-            res
-        } else {
-            t.session.apply(delta)
-        };
-        if let Err(e) = applied {
+        if let Err(e) = t.session.apply(delta) {
             return delta_err(&e);
         }
         accepted += 1;
@@ -414,14 +400,9 @@ fn handle_apply<S: WireScalar>(shared: &Shared<S>, tenant: &str, deltas: &[WireD
             .deltas_applied
             .fetch_add(1, Ordering::Relaxed);
     }
-    if !shared.coalesce && t.session.is_dirty() {
-        // No-coalescing baseline: every ApplyDeltas re-solves immediately.
-        t.session.solve();
-        shared.counters.solves.fetch_add(1, Ordering::Relaxed);
-    }
     Response::Applied {
         accepted,
-        pending: t.batch.len(),
+        pending: t.session.pending(),
     }
 }
 
@@ -431,21 +412,13 @@ fn handle_solve<S: WireScalar>(shared: &Shared<S>, tenant: &str) -> Response {
         Err(resp) => return resp,
     };
     let mut t = t.lock().expect("tenant lock poisoned");
-    let staged = {
-        let Tenant { batch, .. } = &mut *t;
-        batch.take()
-    };
-    if let Err(e) = t.session.apply_all(staged) {
-        // Unreachable if batch validation mirrors the session exactly;
-        // surfaced as a typed error rather than trusted silently.
-        return delta_err(&e);
-    }
     let resolved = t.session.is_dirty();
     if resolved {
         t.session.solve();
+        t.solved_ids = t.session.job_ids().iter().map(|j| j.0).collect();
         shared.counters.solves.fetch_add(1, Ordering::Relaxed);
     }
-    solved_response(&t.session, resolved)
+    solved_response(&t, resolved)
 }
 
 /// Queue `work` for the tenant's shard; refuses (with a typed reply) when
@@ -653,7 +626,6 @@ impl<S: WireScalar> Server<S> {
             .collect();
         let shared = Arc::new(Shared {
             queue_cap: cfg.queue_cap.max(1),
-            coalesce: cfg.coalesce,
             max_frame: cfg.max_frame,
             read_timeout: cfg.read_timeout,
             addr,
@@ -672,7 +644,6 @@ impl<S: WireScalar> Server<S> {
                 requests: AtomicU64::new(0),
                 solves: AtomicU64::new(0),
                 deltas_applied: AtomicU64::new(0),
-                deltas_coalesced: AtomicU64::new(0),
                 overloaded: AtomicU64::new(0),
                 protocol_errors: AtomicU64::new(0),
             },

@@ -1,8 +1,9 @@
 //! End-to-end server tests: session lifecycle with audited responses,
 //! concurrent multi-tenant traffic checked bit-identical against serial
 //! from-scratch solves on [`Rational`], deterministic overload rejection
-//! on bounded queues, graceful drain, and the coalescing-vs-eager solve
-//! count.
+//! on bounded queues, graceful drain, one solve per burst of deltas,
+//! typed delta errors over the wire, and `GetAllocation` answering with
+//! the last solve's job ids.
 
 use std::time::{Duration, Instant};
 
@@ -11,8 +12,8 @@ use amf_core::incremental::{Delta, IncrementalAmf, JobId};
 use amf_core::{Allocation, AmfSolver, FairnessMode, Instance};
 use amf_numeric::Rational;
 use amf_serve::{
-    encode, read_frame, write_frame, ClientError, DeltaBatch, ErrorKind, Request, ServeClient,
-    ServeConfig, Server, WireDelta, WireScalar, DEFAULT_MAX_FRAME,
+    encode, read_frame, write_frame, ClientError, ErrorKind, Request, ServeClient, ServeConfig,
+    Server, WireDelta, WireScalar, DEFAULT_MAX_FRAME,
 };
 
 fn local_cfg() -> ServeConfig {
@@ -97,7 +98,7 @@ fn lifecycle_solves_are_audit_certified() {
     let deltas = lifecycle_deltas();
     let (accepted, pending) = client.apply_deltas("acme", &deltas).expect("apply");
     assert_eq!(accepted, deltas.len());
-    assert!(pending > 0, "coalescing server stages deltas until Solve");
+    assert_eq!(pending, deltas.len(), "deltas wait for the next Solve");
 
     let reply = client.solve("acme").expect("solve");
     assert!(reply.resolved);
@@ -214,13 +215,13 @@ fn concurrent_tenants_match_serial_rational_solves() {
             .collect()
     });
 
-    // Serial mirror: replay every tenant's exact request history (stage
-    // the round's deltas in a DeltaBatch, apply at the solve, like the
-    // coalescing server does) — the served f64 views must match that
-    // single-threaded execution bit-for-bit. Aggregates are additionally
-    // anchored against a pure from-scratch solve of the final instance:
-    // they are canonical for AMF, unlike the split (a flow decomposition),
-    // which is only pinned to the mirrored history.
+    // Serial mirror: replay every tenant's exact request history (apply
+    // the round's deltas, then solve, like the server does) — the served
+    // f64 views must match that single-threaded execution bit-for-bit.
+    // Aggregates are additionally anchored against a pure from-scratch
+    // solve of the final instance: they are canonical for AMF, unlike the
+    // split (a flow decomposition), which is only pinned to the mirrored
+    // history.
     for (tenant, aggregates, split) in finals {
         let parts: Vec<&str> = tenant.split('-').collect();
         let (t, k): (u64, u64) = (
@@ -234,7 +235,6 @@ fn concurrent_tenants_match_serial_rational_solves() {
                 .collect(),
         )
         .expect("mirror session");
-        let mut batch = DeltaBatch::new();
         for round in 0..3u64 {
             let base = round * 10;
             let mut deltas = vec![
@@ -263,10 +263,9 @@ fn concurrent_tenants_match_serial_rational_solves() {
                     id: (round - 1) * 10,
                 });
             }
-            for w in &deltas {
-                batch.push(&mirror, as_delta(w)).expect("mirror stage");
-            }
-            mirror.apply_all(batch.take()).expect("mirror apply");
+            mirror
+                .apply_all(deltas.iter().map(as_delta))
+                .expect("mirror apply");
             mirror.solve();
         }
         let out = mirror.solve();
@@ -382,67 +381,222 @@ fn bounded_queue_rejects_with_overloaded_instead_of_blocking() {
 }
 
 #[test]
-fn coalescing_halves_solver_work_vs_eager_baseline() {
-    let solves_with = |coalesce: bool| -> (u64, u64, Vec<f64>) {
-        let cfg = ServeConfig {
-            workers: Some(1),
-            coalesce,
-            ..ServeConfig::default()
+fn burst_of_applies_costs_one_solve() {
+    let server = Server::<Rational>::bind(ServeConfig {
+        workers: Some(1),
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let mut client = ServeClient::connect(server.addr()).expect("connect");
+    let caps = [8.0, 8.0];
+    client
+        .create_session("t", &caps, Some("plain"))
+        .expect("create");
+    let seed = [
+        WireDelta::AddJob {
+            id: 0,
+            demands: vec![3.0, 1.0],
+            weight: None,
+        },
+        WireDelta::AddJob {
+            id: 1,
+            demands: vec![1.0, 4.0],
+            weight: None,
+        },
+    ];
+    client.apply_deltas("t", &seed).expect("seed jobs");
+    assert!(client.solve("t").expect("seed solve").resolved);
+    let solves_before = client.stats().expect("stats").solves;
+
+    // A burst of single-delta requests on one (job, site) cell: each is
+    // applied as it arrives, and none of them solves.
+    let mut burst = Vec::new();
+    for step in 1..=8usize {
+        let delta = WireDelta::DemandChange {
+            id: 0,
+            site: 1,
+            demand: 1.0 + step as f64 * 0.25,
         };
-        let server = Server::<f64>::bind(cfg).expect("bind");
-        let mut client = ServeClient::connect(server.addr()).expect("connect");
-        client
-            .create_session("t", &[8.0, 8.0], Some("plain"))
-            .expect("create");
-        client
-            .apply_deltas(
-                "t",
-                &[
-                    WireDelta::AddJob {
-                        id: 0,
-                        demands: vec![3.0, 1.0],
-                        weight: None,
-                    },
-                    WireDelta::AddJob {
-                        id: 1,
-                        demands: vec![1.0, 4.0],
-                        weight: None,
-                    },
-                ],
-            )
-            .expect("seed jobs");
-        // A burst of single-delta requests touching the same entry — the
-        // coalescing server folds them into one staged write.
-        for step in 0..8 {
-            client
-                .apply_deltas(
-                    "t",
-                    &[WireDelta::DemandChange {
-                        id: 0,
-                        site: 1,
-                        demand: 1.0 + f64::from(step) * 0.25,
-                    }],
-                )
-                .expect("burst delta");
-        }
-        let reply = client.solve("t").expect("solve");
-        client.shutdown().expect("shutdown");
-        let summary = server.join();
-        (summary.solves, summary.deltas_coalesced, reply.aggregates)
+        let (accepted, pending) = client
+            .apply_deltas("t", std::slice::from_ref(&delta))
+            .expect("burst delta");
+        assert_eq!((accepted, pending), (1, step));
+        burst.push(delta);
+    }
+    assert_eq!(client.stats().expect("stats").solves, solves_before);
+
+    let reply = client.solve("t").expect("solve");
+    assert!(reply.resolved);
+    assert_eq!(client.stats().expect("stats").solves, solves_before + 1);
+
+    // The one solve saw every delta: its aggregates are the from-scratch
+    // solve of the final instance, bit for bit on Rational.
+    let mut mirror = IncrementalAmf::<Rational>::new(
+        AmfSolver::new(),
+        caps.iter()
+            .map(|c| Rational::from_wire(*c).expect("representable"))
+            .collect(),
+    )
+    .expect("mirror");
+    mirror
+        .apply_all(seed.iter().chain(&burst).map(as_delta))
+        .expect("mirror apply");
+    let scratch = AmfSolver::new().solve(&mirror.instance());
+    let want: Vec<f64> = scratch
+        .allocation
+        .aggregates()
+        .iter()
+        .map(|a| a.to_f64())
+        .collect();
+    assert_eq!(reply.aggregates, want);
+
+    // The solve reset the pending count: a repeat Solve is cached and the
+    // next delta counts from 1 again.
+    let again = client.solve("t").expect("cached solve");
+    assert!(!again.resolved);
+    assert_eq!(again.aggregates, reply.aggregates);
+    let (_, pending) = client
+        .apply_deltas(
+            "t",
+            &[WireDelta::CapacityChange {
+                site: 0,
+                capacity: 6.0,
+            }],
+        )
+        .expect("one more delta");
+    assert_eq!(pending, 1);
+
+    client.shutdown().expect("shutdown");
+    let summary = server.join();
+    assert_eq!(summary.solves, solves_before + 1);
+    assert_eq!(summary.deltas_coalesced, 0);
+}
+
+#[test]
+fn every_delta_error_is_typed_on_the_wire() {
+    let server = Server::<f64>::bind(local_cfg()).expect("bind");
+    let mut client = ServeClient::connect(server.addr()).expect("connect");
+    client
+        .create_session("t", &[4.0, 4.0], None)
+        .expect("create");
+    client
+        .apply_deltas(
+            "t",
+            &[WireDelta::AddJob {
+                id: 1,
+                demands: vec![1.0, 1.0],
+                weight: None,
+            }],
+        )
+        .expect("seed job");
+
+    let add = |id: u64, demands: Vec<f64>| WireDelta::AddJob {
+        id,
+        demands,
+        weight: None,
     };
+    let cases = [
+        (add(1, vec![2.0, 2.0]), "duplicate_job"),
+        (WireDelta::RemoveJob { id: 42 }, "unknown_job"),
+        (add(2, vec![1.0]), "ragged_demands"),
+        (
+            WireDelta::DemandChange {
+                id: 1,
+                site: 7,
+                demand: 1.0,
+            },
+            "site_out_of_range",
+        ),
+        (
+            WireDelta::CapacityChange {
+                site: 0,
+                capacity: -1.0,
+            },
+            "invalid_value",
+        ),
+    ];
+    for (delta, want) in cases {
+        match client.apply_deltas("t", std::slice::from_ref(&delta)) {
+            Err(ClientError::Server { kind, code, .. }) => {
+                assert_eq!(kind, ErrorKind::Delta, "{delta:?}");
+                assert_eq!(code, want, "{delta:?}");
+            }
+            other => panic!("{delta:?}: expected a {want} error, got {other:?}"),
+        }
+    }
+    // Rejected deltas changed nothing: only the seed job is pending.
+    assert_eq!(client.apply_deltas("t", &[]).expect("empty apply"), (0, 1));
 
-    let (eager_solves, eager_coalesced, eager_agg) = solves_with(false);
-    let (coalesced_solves, coalesced_count, coalesced_agg) = solves_with(true);
+    // The request stops at its third delta; the first two stay applied
+    // and the fourth is never looked at.
+    match client.apply_deltas(
+        "t",
+        &[
+            add(2, vec![1.0, 0.5]),
+            add(3, vec![0.5, 2.0]),
+            add(2, vec![9.0, 9.0]),
+            add(4, vec![1.0, 1.0]),
+        ],
+    ) {
+        Err(ClientError::Server { kind, code, .. }) => {
+            assert_eq!(kind, ErrorKind::Delta);
+            assert_eq!(code, "duplicate_job");
+        }
+        other => panic!("expected duplicate_job, got {other:?}"),
+    }
+    assert_eq!(client.apply_deltas("t", &[]).expect("empty apply"), (0, 3));
+    let mut ids = client.solve("t").expect("solve").job_ids;
+    ids.sort_unstable();
+    assert_eq!(ids, vec![1, 2, 3]);
 
-    // Eager: every ApplyDeltas re-solves (9 applies) and the final Solve is
-    // a cache hit. Coalescing: exactly one solve for the whole burst.
-    assert_eq!(eager_solves, 9);
-    assert_eq!(eager_coalesced, 0);
-    assert_eq!(coalesced_solves, 1);
-    // The seed AddJobs are staged too, so every burst write folds straight
-    // into the staged add's demand row: all 8 are eliminated.
-    assert_eq!(coalesced_count, 8);
-    // Same final aggregates either way (splits are a flow decomposition
-    // and may legitimately differ between solve histories).
-    assert_eq!(eager_agg, coalesced_agg);
+    client.shutdown().expect("shutdown");
+    server.join();
+}
+
+#[test]
+fn get_allocation_answers_with_the_last_solves_job_ids() {
+    let server = Server::<f64>::bind(local_cfg()).expect("bind");
+    let mut client = ServeClient::connect(server.addr()).expect("connect");
+    client
+        .create_session("t", &[6.0, 4.0], None)
+        .expect("create");
+    client
+        .apply_deltas("t", &lifecycle_deltas()[..2])
+        .expect("two jobs");
+    let solved = client.solve("t").expect("solve");
+    assert_eq!(solved.job_ids, vec![0, 1]);
+
+    // Job 9 reaches the session before the next Solve; GetAllocation must
+    // still describe the last solve, whose rows do not include it.
+    client
+        .apply_deltas(
+            "t",
+            &[WireDelta::AddJob {
+                id: 9,
+                demands: vec![1.0, 1.0],
+                weight: None,
+            }],
+        )
+        .expect("add job 9");
+    let cached = client.get_allocation("t").expect("get");
+    assert!(!cached.resolved);
+    assert_eq!(cached.job_ids, solved.job_ids);
+    assert_eq!(cached.aggregates.len(), cached.job_ids.len());
+    assert_eq!(cached.split.len(), cached.job_ids.len());
+    assert_eq!(cached.split, solved.split);
+
+    // Same for a removal: the departed job stays in the cached reply until
+    // the next Solve.
+    let with_nine = client.solve("t").expect("solve with job 9");
+    assert_eq!(with_nine.job_ids, vec![0, 1, 9]);
+    client
+        .apply_deltas("t", &[WireDelta::RemoveJob { id: 0 }])
+        .expect("remove job 0");
+    let cached = client.get_allocation("t").expect("get");
+    assert_eq!(cached.job_ids, vec![0, 1, 9]);
+    assert_eq!(cached.split, with_nine.split);
+    assert_eq!(client.solve("t").expect("solve").job_ids, vec![1, 9]);
+
+    client.shutdown().expect("shutdown");
+    server.join();
 }

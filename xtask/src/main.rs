@@ -248,20 +248,17 @@ const BENCH_SOLVER_KEYS: &[&str] = &[
 ];
 
 /// Keys every `BENCH_serve.json` must contain (schema
-/// `amf-bench-serve/v1`).
+/// `amf-bench-serve/v2`).
 const BENCH_SERVE_KEYS: &[&str] = &[
     "\"schema\"",
-    "\"amf-bench-serve/v1\"",
+    "\"amf-bench-serve/v2\"",
     "\"hardware\"",
     "\"closed_loop\"",
     "\"open_loop\"",
-    "\"coalescing\"",
     "\"throughput_rps\"",
     "\"p50_us\"",
     "\"p95_us\"",
     "\"p99_us\"",
-    "\"solves_per_request\"",
-    "\"solve_reduction_factor\"",
     "\"audit_violations\": 0",
 ];
 
